@@ -10,10 +10,12 @@
 # against the committed BENCH_qtable.json at the repo root.
 #
 # Stage 3 (trace verify): glap-trace check over both committed golden
-# 8-PM traces (JSONL and GTB) and a freshly generated canonical 150-PM
-# GLAP trace; `glap-trace convert` must round-trip the two goldens into
-# each other byte-for-byte; a deliberately corrupted copy must fail with
-# exit code 1. Also refreshes results/trace_stats.json via `glap-trace
+# 8-PM traces (JSONL and GTB), the 24-PM quiescent/lossy/churn GTB golden
+# (churn-tolerant: churn places and departs VMs without trace lines) and
+# a freshly generated canonical 150-PM GLAP trace; `glap-trace convert`
+# must round-trip the two 8-PM goldens into each other, and the 24-PM
+# golden through JSONL and back, byte-for-byte; a deliberately corrupted
+# copy must fail with exit code 1. Also refreshes results/trace_stats.json via `glap-trace
 # stats --results` so the docs drift stage covers the trace_stats block.
 #
 # Stage 4 (docs drift): reruns every bench that feeds a GENERATED block
@@ -28,9 +30,10 @@
 # metrics-on at 1000 PMs stays within a ratio of metrics-off.
 #
 # Stage 6 (thread safety, RUN_TSAN=1 to enable): ThreadSanitizer build;
-# runs the full ctest suite plus the multi-threaded 150-PM GLAP smoke
-# (bench/parallel_smoke) under TSan to catch data races in the
-# wave-parallel engine.
+# runs the full ctest suite under TSan. Each simulation runs on one
+# thread; the multi-threaded code left is the ThreadPool that run_cells
+# fans independent runs out on, which tests/harness/test_sweep.cpp drives
+# on 2-4-thread pools.
 #
 # Stage 7 (lint): glap-lint scan over the checked-in tree must be clean.
 # The scan runs twice through the incremental cache — a cold pass that
@@ -47,8 +50,7 @@
 #
 # Stage 8 (memory/UB safety, RUN_ASAN_UBSAN=1 to enable): combined
 # AddressSanitizer + UndefinedBehaviorSanitizer build (UB reports are
-# fatal via -fno-sanitize-recover=all); runs the full ctest suite plus
-# bench/parallel_smoke.
+# fatal via -fno-sanitize-recover=all); runs the full ctest suite.
 #
 # Stage 9 (scale smoke): a 10k-PM GLAP run on the event-driven engine
 # with quiescence enabled (DESIGN.md §12) must finish inside a
@@ -147,6 +149,11 @@ if [[ "${RUN_TRACE_VERIFY:-1}" == "1" ]]; then
   "$GLAP_TRACE" convert tests/integration/golden/trace_8pm.jsonl \
     "$GOLDEN_RT.gtb" --to gtb
   cmp tests/integration/golden/trace_8pm.gtb "$GOLDEN_RT.gtb"
+  QUIET_GOLDEN=tests/integration/golden/trace_24pm_quiescent_net.gtb
+  "$GLAP_TRACE" check "$QUIET_GOLDEN" --churn-tolerant
+  "$GLAP_TRACE" convert "$QUIET_GOLDEN" "$GOLDEN_RT.jsonl"
+  "$GLAP_TRACE" convert "$GOLDEN_RT.jsonl" "$GOLDEN_RT.gtb" --to gtb
+  cmp "$QUIET_GOLDEN" "$GOLDEN_RT.gtb"
   rm -f "$GOLDEN_RT.jsonl" "$GOLDEN_RT.gtb"
 
   # Canonical 150-PM GLAP run (gen defaults): check it and refresh the
@@ -239,19 +246,17 @@ if [[ "${RUN_TRACE_SMOKE:-1}" == "1" ]]; then
 fi
 
 if [[ "${RUN_TSAN:-1}" == "1" ]]; then
-  echo "== tsan: ThreadSanitizer build + ctest + parallel smoke =="
+  echo "== tsan: ThreadSanitizer build + ctest =="
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DGLAP_TSAN=ON -DGLAP_ENABLE_CHECKS=ON
   cmake --build build-tsan -j "$JOBS"
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS"
-  ./build-tsan/bench/parallel_smoke
 fi
 
 if [[ "${RUN_ASAN_UBSAN:-1}" == "1" ]]; then
-  echo "== asan-ubsan: Address+UB sanitizer build + ctest + parallel smoke =="
+  echo "== asan-ubsan: Address+UB sanitizer build + ctest =="
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DGLAP_ASAN=ON -DGLAP_UBSAN=ON -DGLAP_ENABLE_CHECKS=ON
   cmake --build build-asan -j "$JOBS"
   ctest --test-dir build-asan --output-on-failure -j "$JOBS"
-  ./build-asan/bench/parallel_smoke
 fi

@@ -298,11 +298,6 @@ void PabfdManager::evacuate_underloaded(sim::Engine& engine) {
   }
 }
 
-void PabfdManager::select_peers(sim::Engine& /*engine*/, sim::NodeId self,
-                                sim::PeerSet& peers) {
-  if (is_manager_ && self == manager_node_) peers.add_global();
-}
-
 void PabfdManager::execute(sim::Engine& engine, sim::NodeId self,
                            const sim::PeerSet& /*peers*/) {
   if (!is_manager_ || self != manager_node_) return;

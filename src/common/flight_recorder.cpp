@@ -1,5 +1,6 @@
 #include "common/flight_recorder.hpp"
 
+#include <atomic>
 #include <csignal>
 #include <cstring>
 #include <fstream>
@@ -90,10 +91,14 @@ void FlightRecorder::dump_to_fd(int fd) const noexcept {
 
 namespace {
 
-// Process-wide armed recorder. Plain globals, not atomics: CrashDumpScope
-// is installed/removed on the driver thread at run boundaries, and the
-// consumers (assertion hook, signal handler) only read.
-FlightRecorder* g_recorder = nullptr;
+// Process-wide armed recorder. Simulations running side by side on a
+// ThreadPool (run_cells) race to arm it, so a scope claims ownership with
+// one atomic exchange and the losers' scopes are no-ops. The owner writes
+// the path before publishing the recorder with a release store, and the
+// hooks load the recorder with acquire before reading the path. The
+// pointer atomic is lock-free, so the signal handler may load it.
+std::atomic<bool> g_claimed{false};
+std::atomic<FlightRecorder*> g_recorder{nullptr};
 char g_dump_path[512] = {};
 bool g_dumping = false;
 
@@ -103,11 +108,12 @@ constexpr std::size_t kFatalSignalCount =
 struct sigaction g_saved_actions[kFatalSignalCount];
 
 extern "C" void flight_signal_handler(int sig) {
-  if (g_recorder != nullptr && g_dump_path[0] != '\0') {
+  FlightRecorder* recorder = g_recorder.load(std::memory_order_acquire);
+  if (recorder != nullptr && g_dump_path[0] != '\0') {
     const int fd =
         ::open(g_dump_path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd >= 0) {
-      g_recorder->dump_to_fd(fd);
+      recorder->dump_to_fd(fd);
       ::close(fd);
     }
   }
@@ -118,9 +124,10 @@ extern "C" void flight_signal_handler(int sig) {
 }
 
 void flight_assert_hook(const char* what) {
-  if (g_dumping || g_recorder == nullptr || g_dump_path[0] == '\0') return;
+  FlightRecorder* recorder = g_recorder.load(std::memory_order_acquire);
+  if (g_dumping || recorder == nullptr || g_dump_path[0] == '\0') return;
   g_dumping = true;
-  if (g_recorder->dump(g_dump_path)) {
+  if (recorder->dump(g_dump_path)) {
     // The failure text rides along so the artifact is self-describing.
     std::ofstream out(std::string(g_dump_path) + ".what.txt",
                       std::ios::trunc);
@@ -133,9 +140,10 @@ void flight_assert_hook(const char* what) {
 
 CrashDumpScope::CrashDumpScope(FlightRecorder* recorder,
                                const std::string& path) {
-  if (recorder == nullptr || path.empty() || g_recorder != nullptr) return;
+  if (recorder == nullptr || path.empty() ||
+      g_claimed.exchange(true, std::memory_order_acquire))
+    return;
   active_ = true;
-  g_recorder = recorder;
   std::strncpy(g_dump_path, path.c_str(), sizeof g_dump_path - 1);
   g_dump_path[sizeof g_dump_path - 1] = '\0';
   glap::detail::fatal_hook = &flight_assert_hook;
@@ -144,6 +152,7 @@ CrashDumpScope::CrashDumpScope(FlightRecorder* recorder,
   sigemptyset(&action.sa_mask);
   for (std::size_t i = 0; i < kFatalSignalCount; ++i)
     ::sigaction(kFatalSignals[i], &action, &g_saved_actions[i]);
+  g_recorder.store(recorder, std::memory_order_release);
 }
 
 CrashDumpScope::~CrashDumpScope() {
@@ -151,8 +160,8 @@ CrashDumpScope::~CrashDumpScope() {
   for (std::size_t i = 0; i < kFatalSignalCount; ++i)
     ::sigaction(kFatalSignals[i], &g_saved_actions[i], nullptr);
   glap::detail::fatal_hook = nullptr;
-  g_recorder = nullptr;
-  g_dump_path[0] = '\0';
+  g_recorder.store(nullptr, std::memory_order_release);
+  g_claimed.store(false, std::memory_order_release);
 }
 
 }  // namespace glap::flight

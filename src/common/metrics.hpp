@@ -2,65 +2,37 @@
 // per-round series that protocols, the DataCenter and the harness publish
 // into during a run.
 //
-// Determinism contract (DESIGN.md §10). Metric *output* must be bit-identical
-// between the serial reference engine and the wave-parallel engine at any
-// thread count. Each instrument type meets that differently:
+// Every instrument is written by the single thread that runs the
+// simulation, in execution order, so metric output is a pure function of
+// (config, seed) — identical between the serial and event engines
+// (DESIGN.md §10). Gauges and series are written by the harness between
+// rounds; counters and histograms also from inside interactions.
 //
-//  * Counter — integer adds are order-insensitive, so counters keep one
-//    cache-line-padded slot per exec shard (exec::kShardCount) and sum them
-//    on read. No ordering needed.
-//  * OrderedHistogram — Welford moments are FP-order-sensitive, so observe()
-//    from inside an interaction buffers (order_key, seq, value) per shard;
-//    commit_round() replays all buffered samples sorted by (order_key, seq)
-//    — the same replay the DataCenter uses for deferred accounting — into a
-//    single RunningStats. observe_now() is the driver-only path for samples
-//    taken at quiescent points (between rounds); these are prepended in
-//    call order before the current round's buffered samples are replayed.
-//  * Gauge / Series — driver-only, written at quiescent points; plain
-//    non-atomic storage.
-//
-// Registration is mutex-guarded get-or-create; instruments live in deques so
-// pointers stay stable. Snapshot output (JSON/CSV) iterates names in sorted
-// order, so the output never depends on which thread registered first.
+// Instruments live in deques so the pointers callers cache stay stable.
+// Snapshot output (JSON/CSV) iterates names in sorted order, so the output
+// never depends on registration order.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "common/exec_context.hpp"
 #include "common/stats.hpp"
 
 namespace glap::metrics {
 
-/// Monotonic integer counter, sharded per execution slot. inc() is safe from
-/// any engine thread; value() is meaningful at quiescent points (it sums the
-/// shards without synchronization).
+/// Monotonic integer counter.
 class Counter {
  public:
-  void inc(std::uint64_t delta = 1) noexcept {
-    shards_[exec::context().shard_slot].v += delta;
-  }
-
-  [[nodiscard]] std::uint64_t value() const noexcept {
-    std::uint64_t total = 0;
-    for (const auto& s : shards_) total += s.v;
-    return total;
-  }
-
-  void reset() noexcept {
-    for (auto& s : shards_) s.v = 0;
-  }
+  void inc(std::uint64_t delta = 1) noexcept { value_ += delta; }
+  [[nodiscard]] std::uint64_t value() const noexcept { return value_; }
+  void reset() noexcept { value_ = 0; }
 
  private:
-  struct alignas(64) Slot {
-    std::uint64_t v = 0;
-  };
-  Slot shards_[exec::kShardCount];
+  std::uint64_t value_ = 0;
 };
 
 /// Driver-only scalar; set at quiescent points (between rounds / end of run).
@@ -73,39 +45,13 @@ class Gauge {
   double v_ = 0.0;
 };
 
-/// Welford histogram whose in-round observations are replayed in serial
-/// interaction order at commit_round(), making the moments bit-identical
-/// across engine modes. See the file header for the full contract.
-class OrderedHistogram {
+/// Welford histogram: running moments of every observed sample.
+class Histogram {
  public:
-  /// Records a sample from inside an engine interaction. Tags it with the
-  /// current interaction's (order_key, seq) so commit can recover serial
-  /// order. seq shares the same per-interaction counter the DataCenter's
-  /// deferred accounting uses, keeping intra-interaction order faithful.
-  void observe(double v) {
-    auto& ctx = exec::context();
-    buffers_[ctx.shard_slot].push_back({ctx.order_key, ctx.seq++, v});
-  }
-
-  /// Driver-only: records a sample at a quiescent point (not inside an
-  /// interaction). Applied immediately, before any samples still buffered
-  /// for the current round.
-  void observe_now(double v) { stats_.add(v); }
-
-  /// Replays all buffered samples in (order_key, seq) order into the
-  /// accumulated stats. Call only at quiescent points (end of round).
-  void commit_round();
-
+  void observe(double v) { stats_.add(v); }
   [[nodiscard]] const RunningStats& stats() const noexcept { return stats_; }
 
  private:
-  struct Sample {
-    std::uint64_t order_key;
-    std::uint32_t seq;
-    double value;
-  };
-  std::vector<Sample> buffers_[exec::kShardCount];
-  std::vector<Sample> scratch_;
   RunningStats stats_;
 };
 
@@ -121,19 +67,14 @@ class Series {
   std::vector<double> values_;
 };
 
-/// Named instrument registry. get-or-create is mutex-guarded (cold path —
+/// Named instrument registry. get-or-create is a linear scan (cold path —
 /// callers cache the returned pointer); instruments are pointer-stable.
 class MetricsRegistry {
  public:
   [[nodiscard]] Counter* counter(std::string_view name);
   [[nodiscard]] Gauge* gauge(std::string_view name);
-  [[nodiscard]] OrderedHistogram* histogram(std::string_view name);
+  [[nodiscard]] Histogram* histogram(std::string_view name);
   [[nodiscard]] Series* series(std::string_view name);
-
-  /// Replays every histogram's buffered in-round samples in serial order.
-  /// The harness calls this once per round, at the quiescent point after
-  /// Engine::step() / DataCenter::commit_deferred_accounting().
-  void commit_round();
 
   /// Full snapshot as a JSON object — counters, gauges, histogram moments,
   /// series — with names in sorted order. Byte-deterministic.
@@ -153,10 +94,9 @@ class MetricsRegistry {
   [[nodiscard]] T* get_or_create(std::deque<Entry<T>>& entries,
                                  std::string_view name);
 
-  mutable std::mutex mu_;
   std::deque<Entry<Counter>> counters_;
   std::deque<Entry<Gauge>> gauges_;
-  std::deque<Entry<OrderedHistogram>> histograms_;
+  std::deque<Entry<Histogram>> histograms_;
   std::deque<Entry<Series>> series_;
 };
 

@@ -1,11 +1,11 @@
 // Round-level event trace. One record per event in either of two
 // byte-deterministic encodings — the JSONL text format or GTB, the
 // compact binary format (common/trace_format.hpp) — selected per log.
-// Events emitted from inside engine interactions are buffered per exec
-// shard with (order_key, seq) tags and rendered in serial interaction
-// order at commit_round(), so the trace bytes are bit-identical between
-// the serial and wave-parallel engines in both formats (DESIGN.md §10
-// lists the schema).
+// Events emitted from inside engine interactions are buffered in emit
+// order and rendered at commit_round() with the round number current at
+// that point; the simulation runs on one thread, so emit order is the
+// execution order and the trace bytes are identical between the serial
+// and event engines in both formats (DESIGN.md §10 lists the schema).
 //
 // Deterministic sampling (DESIGN.md §10.6): the high-volume interaction
 // kinds (shuffle, net) can be thinned by a keep-probability decided by a
@@ -15,10 +15,8 @@
 // together. Driver-only lines are never sampled.
 //
 // Driver-only events (round summaries, Q-similarity probes, re-learning
-// triggers) bypass the ordered buffers and are written directly; they must
-// only be emitted at quiescent points. The per-shard network byte breakdown
-// is execution-dependent (which shard counted a message depends on thread
-// assignment), so it is opt-in and excluded from the determinism contract.
+// triggers) bypass the buffer and are written directly; they must only be
+// emitted between rounds, after commit_round().
 //
 // Every written record can additionally be teed, GTB-encoded, into a
 // flight recorder ring (common/flight_recorder.hpp) for post-mortem
@@ -30,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "common/exec_context.hpp"
 #include "common/rng.hpp"
 #include "common/trace_reader.hpp"
 
@@ -105,12 +102,10 @@ class TraceLog {
 
   [[nodiscard]] Format format() const noexcept { return format_; }
 
-  /// Records an event from inside an engine interaction; rendered in serial
-  /// (order_key, seq) order at commit_round(). seq shares the interaction's
-  /// mutation counter so trace events interleave faithfully with deferred
-  /// DataCenter accounting. Sampled-out events are dropped here, before
-  /// they consume buffer space or a seq tag — the keep decision is a pure
-  /// hash, identical for every engine and thread count.
+  /// Records an event from inside an engine interaction; rendered in emit
+  /// order at commit_round(). Sampled-out events are dropped here, before
+  /// they consume buffer space — the keep decision is a pure hash,
+  /// identical for every engine.
   void emit(Kind kind, std::int64_t a = 0, std::int64_t b = 0,
             std::int64_t c = 0, std::int64_t d = 0, double x = 0.0,
             double y = 0.0) {
@@ -124,17 +119,14 @@ class TraceLog {
           !sample_keep(static_cast<std::uint64_t>(d), sampling_.net_keep))
         return;
     }
-    auto& ctx = exec::context();
-    buffers_[ctx.shard_slot].push_back(
-        {ctx.order_key, ctx.seq++, kind, a, b, c, d, x, y});
+    pending_.push_back({kind, a, b, c, d, x, y});
   }
 
   /// Starts a new round: subsequent events tag this round number, and the
   /// flight recorder (if any) seals the previous round's ring bucket.
   void begin_round(std::uint64_t round);
 
-  /// Sorts and renders all events buffered during the current round.
-  /// Call only at quiescent points (after the engine's round barrier).
+  /// Renders all buffered events, stamped with the current round.
   void commit_round();
 
   // ---- driver-only direct writes (quiescent points only) ----
@@ -166,16 +158,8 @@ class TraceLog {
   void net_queue(std::uint64_t round, const char* link, std::int64_t id,
                  std::uint64_t backlog_bytes);
 
-  /// Opt-in per-shard network byte breakdown ("ev":"shard_bytes").
-  /// Execution-dependent — which shard counted a message depends on thread
-  /// assignment — hence excluded from the serial/parallel identity contract.
-  void shard_bytes(std::uint64_t round,
-                   const std::vector<std::uint64_t>& per_shard);
-
  private:
   struct Event {
-    std::uint64_t order_key;
-    std::uint32_t seq;
     Kind kind;
     std::int64_t a, b, c, d;
     double x, y;
@@ -204,8 +188,7 @@ class TraceLog {
   TraceEvent ev_;        ///< scratch event (string fields stay SSO-short)
   std::string bytes_;    ///< scratch rendering of one record
   std::string recorder_bytes_;  ///< scratch GTB tee when the sink is JSONL
-  std::vector<Event> buffers_[exec::kShardCount];
-  std::vector<Event> scratch_;
+  std::vector<Event> pending_;  ///< emitted since the last commit_round()
 };
 
 }  // namespace glap::trace

@@ -13,9 +13,7 @@
 // Determinism: the model holds no RNG stream. Loss decisions hash
 // (seed, msg_id) through splitmix64, and msg ids are assigned in executed
 // interaction order — identical between the serial and event engines,
-// whose executed sequences coincide (DESIGN.md §13.3). The wave-parallel
-// engine executes in shard order, so the harness refuses to combine it
-// with the network model.
+// whose executed sequences coincide (DESIGN.md §13.3).
 #pragma once
 
 #include <cstddef>

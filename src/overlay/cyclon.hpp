@@ -19,7 +19,7 @@
 
 namespace glap::metrics {
 class Counter;
-class OrderedHistogram;
+class Histogram;
 }  // namespace glap::metrics
 
 namespace glap::overlay {
@@ -47,8 +47,6 @@ class CyclonProtocol final : public NeighborProvider {
                                            const CyclonConfig& config,
                                            std::uint64_t seed);
 
-  void select_peers(sim::Engine& engine, sim::NodeId self,
-                    sim::PeerSet& peers) override;
   void execute(sim::Engine& engine, sim::NodeId self,
                const sim::PeerSet& peers) override;
 
@@ -64,8 +62,6 @@ class CyclonProtocol final : public NeighborProvider {
   }
 
   [[nodiscard]] std::vector<sim::NodeId> neighbor_view() const override;
-
-  void append_peer_candidates(sim::PeerSet& out) const override;
 
   /// Passive side of a shuffle: merges the initiator's subset and returns
   /// a random subset of (up to) shuffle_length local entries. The returned
@@ -105,7 +101,7 @@ class CyclonProtocol final : public NeighborProvider {
   bool slot_known_ = false;
   bool telemetry_resolved_ = false;
   metrics::Counter* ctr_shuffles_ = nullptr;          ///< cyclon.shuffles
-  metrics::OrderedHistogram* hist_entries_ = nullptr;  ///< cyclon.shuffle_entries
+  metrics::Histogram* hist_entries_ = nullptr;  ///< cyclon.shuffle_entries
 
   // Scratch buffers reused across rounds: the shuffle exchange used to
   // allocate fresh vectors on both sides every round.
@@ -114,7 +110,6 @@ class CyclonProtocol final : public NeighborProvider {
   std::vector<Entry> scratch_outgoing_;  ///< initiator: sent + own entry
   std::vector<Entry> scratch_reply_;     ///< passive side: reply subset
   std::vector<Entry> scratch_incoming_;  ///< passive side: received + link
-  std::vector<Entry> scratch_select_;    ///< select_peers dry-run copy
 
   friend struct CyclonInstaller;
 };

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "harness/runner.hpp"
 
 namespace glap::baselines {
 namespace {
@@ -168,42 +167,6 @@ TEST(EcoCloud, CooldownDecrementsAndSuppressesRetry) {
   EXPECT_EQ(node0.cooldown_remaining(), 1u);
   // Throughout, PM 0 keeps its VMs.
   EXPECT_EQ(bed.dc.pm(0).vm_count(), 2u);
-}
-
-// Regression for the plan_evacuation reservation map (now std::map,
-// PR 5): EcoCloud's evacuation decisions must not depend on engine
-// execution order. An underloaded fleet drives the evacuation planner
-// hard; serial and 4-thread wave-parallel runs must agree on every
-// aggregate.
-TEST(EcoCloud, EvacuationPlanningIsEngineOrderIndependent) {
-  harness::ExperimentConfig config;
-  config.algorithm = harness::Algorithm::kEcoCloud;
-  config.pm_count = 100;
-  config.vm_ratio = 1;  // underloaded: the evacuation path dominates
-  config.warmup_rounds = 40;
-  config.rounds = 40;
-  config.seed = 21;
-  const harness::RunResult serial = harness::run_experiment(config);
-
-  config.engine_threads = 4;
-  const harness::RunResult par4 = harness::run_experiment(config);
-
-  EXPECT_GT(serial.total_migrations, 0u)
-      << "config no longer exercises the evacuation planner";
-  EXPECT_EQ(serial.total_migrations, par4.total_migrations);
-  EXPECT_EQ(serial.migration_energy_j, par4.migration_energy_j);
-  EXPECT_EQ(serial.total_energy_j, par4.total_energy_j);
-  EXPECT_EQ(serial.final_active_pms, par4.final_active_pms);
-  EXPECT_EQ(serial.messages, par4.messages);
-  EXPECT_EQ(serial.bytes, par4.bytes);
-  ASSERT_EQ(serial.rounds.size(), par4.rounds.size());
-  for (std::size_t r = 0; r < serial.rounds.size(); ++r) {
-    EXPECT_EQ(serial.rounds[r].active_pms, par4.rounds[r].active_pms)
-        << "round " << r;
-    EXPECT_EQ(serial.rounds[r].migrations_cum,
-              par4.rounds[r].migrations_cum)
-        << "round " << r;
-  }
 }
 
 TEST(EcoCloud, ConfigValidation) {

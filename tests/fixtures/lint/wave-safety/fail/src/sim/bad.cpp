@@ -7,12 +7,10 @@ struct Rng {
 
 class BadProtocol : public Protocol {
  public:
-  void select_peers() {
+  bool can_quiesce() {
     cursor_ = cursor_ + 1;
     (void)rng_.next();
     advance();
-  }
-  bool can_quiesce() {
     peers_.push_back(1);
     return true;
   }

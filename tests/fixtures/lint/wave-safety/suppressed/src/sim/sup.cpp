@@ -7,13 +7,14 @@ struct Rng {
 
 class SupProtocol : public Protocol {
  public:
-  void select_peers() {
-    // glap-lint: allow(wave-safety): cursor_ is rebuilt from scratch before execute() reads it
-    cursor_ = cursor_ + 1;
-    (void)rng_.next();  // glap-lint: allow(wave-safety): this draw is replayed identically by execute()
+  bool can_quiesce() {
+    // glap-lint: allow(wave-safety): polls_ only counts votes for a debug report
+    polls_ = polls_ + 1;
+    (void)rng_.next();  // glap-lint: allow(wave-safety): the draw feeds no decision
+    return true;
   }
 
  private:
-  int cursor_ = 0;
+  int polls_ = 0;
   Rng rng_;
 };

@@ -1,10 +1,9 @@
-// Harness-level determinism: run_experiment with engine_threads > 1 must
-// reproduce the serial reference run bit-for-bit — every per-round sample
-// and every floating-point aggregate — for every algorithm in the suite.
-// The event-driven scheduler (DESIGN.md §12) is held to the same contract
-// at every configuration, including quiescence, where the executed set
-// shrinks but must shrink identically under both engines (profile call
-// counts included).
+// Harness-level determinism: the event-driven scheduler (DESIGN.md §12)
+// must reproduce the serial reference run bit-for-bit — every per-round
+// sample and every floating-point aggregate — for every algorithm in the
+// suite, at every configuration, including quiescence, where the executed
+// set shrinks but must shrink identically under both engines (profile
+// call counts included).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -35,12 +34,12 @@ ExperimentConfig small_config(Algorithm algorithm) {
 }
 
 /// The deterministic half of the phase profile: (label, calls) pairs,
-/// in report order. Select (wave-only, wall-clock-only) is excluded.
+/// in report order (wall-clock time is host-dependent and left out).
 std::vector<std::pair<std::string, std::uint64_t>> deterministic_profile(
     const RunResult& result) {
   std::vector<std::pair<std::string, std::uint64_t>> out;
   for (const auto& phase : result.profile)
-    if (phase.deterministic) out.emplace_back(phase.label, phase.calls);
+    out.emplace_back(phase.label, phase.calls);
   return out;
 }
 
@@ -76,19 +75,6 @@ void expect_identical(const RunResult& a, const RunResult& b,
 }
 
 class DeterminismTest : public ::testing::TestWithParam<Algorithm> {};
-
-TEST_P(DeterminismTest, ParallelEngineMatchesSerialBitForBit) {
-  ExperimentConfig config = small_config(GetParam());
-  const RunResult serial = run_experiment(config);
-
-  config.engine_threads = 2;
-  const RunResult par2 = run_experiment(config);
-  expect_identical(serial, par2, "threads=2");
-
-  config.engine_threads = 4;
-  const RunResult par4 = run_experiment(config);
-  expect_identical(serial, par4, "threads=4");
-}
 
 TEST_P(DeterminismTest, EventEngineMatchesSerialBitForBit) {
   ExperimentConfig config = small_config(GetParam());
@@ -151,14 +137,6 @@ TEST(Determinism, QuiescentPmsAreReactivatedIdenticallyUnderBothEngines) {
   EXPECT_TRUE(woke) << "no parked PM was ever re-activated";
 }
 
-TEST(Determinism, ParallelRunIsReproducible) {
-  ExperimentConfig config = small_config(Algorithm::kGlap);
-  config.engine_threads = 4;
-  const RunResult a = run_experiment(config);
-  const RunResult b = run_experiment(config);
-  expect_identical(a, b, "repeat");
-}
-
 // ---- Network model (DESIGN.md §13.3) ------------------------------------
 // Message ids — and with them every loss decision and queueing outcome —
 // are assigned in executed interaction order, which the serial and event
@@ -206,11 +184,19 @@ TEST(Determinism, NetworkRunIsReproducible) {
   EXPECT_GT(a.net_dropped_loss, 0u) << "1% loss never fired";
 }
 
-TEST(Determinism, NetworkModelRejectsWaveParallelEngine) {
+TEST(Determinism, MoreThanOneEngineThreadIsRejected) {
+  // Every simulation runs on one thread; the retired wave-parallel
+  // setting must fail loudly instead of silently running serial.
   ExperimentConfig config = small_config(Algorithm::kGlap);
-  config.network.enabled = true;
   config.engine_threads = 2;
-  EXPECT_THROW(run_experiment(config), precondition_error);
+  try {
+    run_experiment(config);
+    FAIL() << "engine_threads = 2 was accepted";
+  } catch (const precondition_error& e) {
+    EXPECT_NE(std::string(e.what()).find("wave-parallel engine was removed"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Determinism, EventEngineMatchesSerialWithNetworkAndQuiescence) {
@@ -233,10 +219,10 @@ TEST(Determinism, EventEngineMatchesSerialWithNetworkAndQuiescence) {
 }
 
 // ---- trace-byte determinism (DESIGN.md §10.6) ---------------------------
-// The GTB binary trace is written through the same ordered-commit path as
+// The GTB binary trace is written through the same round-commit path as
 // JSONL, so its bytes — not just the decoded events — are part of the
-// determinism contract: serial, wave-parallel, and event engines must
-// produce identical files, with or without sampling.
+// determinism contract: the serial and event engines must produce
+// identical files, with or without sampling.
 
 std::string captured_trace(ExperimentConfig config) {
   std::ostringstream sink;
@@ -251,12 +237,6 @@ TEST(Determinism, GtbTraceBytesIdenticalAcrossEngines) {
   const std::string serial = captured_trace(config);
   ASSERT_GT(serial.size(), trace::kGtbHeaderBytes);
 
-  ExperimentConfig wave = config;
-  wave.engine_threads = 2;
-  EXPECT_EQ(serial, captured_trace(wave)) << "threads=2";
-  wave.engine_threads = 4;
-  EXPECT_EQ(serial, captured_trace(wave)) << "threads=4";
-
   ExperimentConfig event = config;
   event.event_engine = true;
   EXPECT_EQ(serial, captured_trace(event)) << "event";
@@ -268,10 +248,6 @@ TEST(Determinism, SampledGtbTraceBytesIdenticalAcrossEngines) {
   ExperimentConfig config = small_config(Algorithm::kGlap);
   config.observability.trace_sample_shuffle = 0.25;
   const std::string serial = captured_trace(config);
-
-  ExperimentConfig wave = config;
-  wave.engine_threads = 4;
-  EXPECT_EQ(serial, captured_trace(wave)) << "threads=4+sampling";
 
   ExperimentConfig event = config;
   event.event_engine = true;

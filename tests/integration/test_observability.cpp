@@ -1,13 +1,15 @@
-// Observability integration: the JSONL trace of a tiny 8-PM GLAP run
-// matches a committed golden file byte-for-byte, and metric/trace output
-// is bit-identical between the serial and wave-parallel engines.
+// Observability integration: the traces of a tiny 8-PM GLAP run and of a
+// 24-PM quiescent, lossy, churning run match committed golden files
+// byte-for-byte, and metric/trace output is bit-identical between the
+// serial and event engines.
 //
-// Regenerate the golden file after an intentional trace-schema change:
+// Regenerate the golden files after an intentional trace-schema change:
 //
 //   GLAP_UPDATE_GOLDEN=1 ./build/tests/test_integration \
-//       --gtest_filter='Observability.TraceMatchesGoldenFile'
+//       --gtest_filter='Observability.*GoldenFile'
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -78,6 +80,64 @@ TEST(Observability, GtbTraceMatchesGoldenFile) {
       "with GLAP_UPDATE_GOLDEN=1 (and check the JSONL golden too)");
 }
 
+// The 8-PM golden never reaches the event scheduler, quiescence, the
+// message-level network or churn. This run does: the event engine with
+// parking and a recheck heartbeat, a 1%-lossy fabric, and VM churn fast
+// enough to retrigger learning, so its trace carries activity, net and
+// relearn lines next to the migration and power ones.
+ExperimentConfig quiescent_lossy_churn_config() {
+  ExperimentConfig config;
+  config.algorithm = Algorithm::kGlap;
+  config.pm_count = 24;
+  config.vm_ratio = 2;
+  config.warmup_rounds = 20;
+  config.rounds = 30;
+  config.seed = 13;
+  config.fit_glap_phases_to_warmup();
+  config.event_engine = true;
+  config.glap.quiescence.enabled = true;
+  config.glap.quiescence.idle_rounds = 3;
+  config.glap.quiescence.demand_epsilon = 0.10;
+  config.glap.quiescence.recheck_rounds = 5;
+  config.network.enabled = true;
+  config.network.loss_rate = 0.01;
+  config.churn.enabled = true;
+  config.churn.departure_prob = 0.02;
+  config.churn.arrival_prob = 0.2;
+  config.churn.relearn_min_interval = 10;
+  config.churn.relearn_learning_rounds = 6;
+  config.churn.relearn_aggregation_rounds = 4;
+  return config;
+}
+
+TEST(Observability, QuiescentLossyChurnGtbTraceMatchesGoldenFile) {
+  const std::string path = std::string(GLAP_TESTS_DIR) +
+                           "/integration/golden/trace_24pm_quiescent_net.gtb";
+  ExperimentConfig config = quiescent_lossy_churn_config();
+  config.observability.trace_format = trace::Format::kGtb;
+  const Captured captured = run_captured(config);
+  ASSERT_LE(captured.trace.size(), 256u * 1024u);
+
+  std::istringstream in(captured.trace);
+  trace::TraceReader reader(in);
+  trace::TraceEvent e;
+  std::string error;
+  std::array<std::uint64_t, trace::kEventKindCount> counts{};
+  while (reader.next(&e, &error) == trace::TraceReader::Status::kEvent)
+    ++counts[static_cast<std::size_t>(e.kind)];
+  ASSERT_TRUE(error.empty()) << error;
+  for (const trace::EventKind kind :
+       {trace::EventKind::kActivity, trace::EventKind::kNet,
+        trace::EventKind::kRelearn, trace::EventKind::kMigration,
+        trace::EventKind::kPower})
+    EXPECT_GT(counts[static_cast<std::size_t>(kind)], 0u)
+        << "no " << trace::event_kind_name(kind) << " line";
+  testing_support::expect_matches_golden(
+      path, captured.trace,
+      "event stream of the quiescent/lossy/churn run changed; if "
+      "intentional, regenerate with GLAP_UPDATE_GOLDEN=1");
+}
+
 TEST(Observability, GtbAndJsonlTracesDecodeIdentically) {
   // The two goldens pin the same run; here the live streams are checked
   // against each other: every analyzer outcome (check violations, stats)
@@ -144,7 +204,7 @@ TEST(Observability, TraceCarriesTheExpectedEventMix) {
   EXPECT_NE(captured.trace.find("\"ev\":\"shuffle\""), std::string::npos);
 }
 
-TEST(Observability, MetricsAndTraceBitIdenticalSerialVsParallel) {
+TEST(Observability, MetricsAndTraceBitIdenticalSerialVsEvent) {
   ExperimentConfig config;
   config.algorithm = Algorithm::kGlap;
   config.pm_count = 32;
@@ -159,11 +219,11 @@ TEST(Observability, MetricsAndTraceBitIdenticalSerialVsParallel) {
   config.observability.profile = true;
 
   const Captured serial = run_captured(config);
-  config.engine_threads = 4;
-  const Captured parallel = run_captured(config);
+  config.event_engine = true;
+  const Captured event = run_captured(config);
 
-  EXPECT_EQ(serial.trace, parallel.trace);
-  EXPECT_EQ(serial.metrics_json, parallel.metrics_json);
+  EXPECT_EQ(serial.trace, event.trace);
+  EXPECT_EQ(serial.metrics_json, event.metrics_json);
   EXPECT_NE(serial.metrics_json.find("profile."), std::string::npos);
 }
 

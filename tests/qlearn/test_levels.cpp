@@ -2,13 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace glap::qlearn {
 namespace {
 
+// gtest prints a parameter with no printer as its raw bytes, and CTest
+// puts that print into the test name. The padding is spelled out as a
+// zeroed member so the name does not pick up stack garbage and stays the
+// same from one build to the next.
 struct BoundaryCase {
   double utilization;
   Level expected;
+  std::uint8_t padding[7] = {};
 };
+static_assert(sizeof(BoundaryCase) ==
+              sizeof(double) + sizeof(Level) + sizeof(BoundaryCase::padding));
 
 class LevelBoundaryTest : public ::testing::TestWithParam<BoundaryCase> {};
 

@@ -11,7 +11,6 @@ namespace {
 class RecordingProtocol final : public Protocol {
  public:
   explicit RecordingProtocol(std::vector<NodeId>* log) : log_(log) {}
-  void select_peers(Engine&, NodeId, PeerSet&) override {}  // touches only self
   void execute(Engine&, NodeId self, const PeerSet&) override {
     log_->push_back(self);
   }

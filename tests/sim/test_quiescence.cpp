@@ -21,7 +21,6 @@ class CountingProtocol final : public Protocol {
   CountingProtocol(std::vector<NodeId>* log, int threshold)
       : log_(log), threshold_(threshold) {}
 
-  void select_peers(Engine&, NodeId, PeerSet&) override {}  // self only
   void execute(Engine&, NodeId self, const PeerSet&) override {
     log_->push_back(self);
     ++runs_;
@@ -42,7 +41,6 @@ class CountingProtocol final : public Protocol {
 /// A protocol that never votes to park (the default Protocol vote).
 class VetoProtocol final : public Protocol {
  public:
-  void select_peers(Engine&, NodeId, PeerSet&) override {}
   void execute(Engine&, NodeId, const PeerSet&) override {}
 };
 

@@ -238,13 +238,13 @@ TEST(SummarizeSource, EnumExtractionHandlesScopedUnderlyingAndValues) {
 TEST(SummarizeSource, WaveEventsComeFromOutOfLineDefinitionsToo) {
   const FileSummary s = summarize_source(
       "src/overlay/c.cpp",
-      "void CyclonProtocol::select_peers(int& engine) {\n"
+      "bool CyclonProtocol::can_quiesce(int& engine) {\n"
       "  cache_ = 1;\n"
       "}\n");
   ASSERT_EQ(s.wave_events.size(), 1u);
   EXPECT_EQ(s.wave_events[0].kind, WaveEvent::Kind::kAssign);
   EXPECT_EQ(s.wave_events[0].class_name, "CyclonProtocol");
-  EXPECT_EQ(s.wave_events[0].method, "select_peers");
+  EXPECT_EQ(s.wave_events[0].method, "can_quiesce");
   EXPECT_EQ(s.wave_events[0].name, "cache_");
   EXPECT_EQ(s.wave_events[0].line, 2u);
 }
@@ -272,7 +272,7 @@ TEST(AnalyzeProject, WaveSafetyResolvesThroughIntermediateBases) {
        "  int cache_;\n"
        "};\n"},
       {"src/overlay/c.cpp",
-       "void Cyclon::select_peers(int& e) { cache_ = 1; }\n"},
+       "bool Cyclon::can_quiesce(int& e) { cache_ = 1; }\n"},
   };
   const TreeReport report = lint_project(files, "");
   ASSERT_EQ(report.findings.size(), 1u);
@@ -286,7 +286,7 @@ TEST(AnalyzeProject, WaveSafetyIgnoresClassesOutsideTheProtocolTree) {
       {"src/cloud/p.hpp",
        "#pragma once\nclass Placer {\n private:\n  int cursor_;\n};\n"},
       {"src/cloud/p.cpp",
-       "void Placer::select_peers(int& e) { cursor_ = 1; }\n"},
+       "bool Placer::can_quiesce(int& e) { cursor_ = 1; }\n"},
   };
   EXPECT_TRUE(lint_project(files, "").findings.empty());
 }
@@ -301,7 +301,7 @@ TEST(AnalyzeProject, WaveSafetyAllowsLocalsAndScratchMembers) {
        "  int rng_;\n"
        "};\n"},
       {"src/sim/p.cpp",
-       "void P::select_peers(int& e) {\n"
+       "bool P::can_quiesce(int& e) {\n"
        "  int local = 0;\n"
        "  local = local + 1;\n"
        "  scratch_ids_ = local;\n"
@@ -312,6 +312,23 @@ TEST(AnalyzeProject, WaveSafetyAllowsLocalsAndScratchMembers) {
   const TreeReport report = lint_project(files, "");
   for (const Finding& f : report.findings)
     ADD_FAILURE() << f.file << ":" << f.line << " " << f.message;
+}
+
+TEST(AnalyzeProject, WaveSafetyFlagsSelectNamedMembers) {
+  // Only *scratch* members are staging; a member merely named after
+  // selection is real state, and writing it from a vote is a finding.
+  const std::vector<ProjectFile> files = {
+      {"src/sim/p.hpp",
+       "#pragma once\n"
+       "class P : public Protocol {\n"
+       " private:\n"
+       "  int selected_;\n"
+       "};\n"},
+      {"src/sim/p.cpp", "bool P::can_quiesce(int& e) { selected_ = 1; }\n"},
+  };
+  const TreeReport report = lint_project(files, "");
+  ASSERT_EQ(report.findings.size(), 1u);
+  EXPECT_EQ(report.findings[0].rule, "wave-safety");
 }
 
 TEST(AnalyzeProject, IncludeHygieneSeesTransitiveProvides) {

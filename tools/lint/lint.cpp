@@ -33,9 +33,9 @@ constexpr RuleInfo kRules[] = {
     {"static-mutable", "determinism",
      "no mutable function-local or class statics in protocol code"},
     {"wave-safety", "determinism",
-     "select_peers/can_quiesce overrides must be pure: no member writes "
-     "outside *scratch*/*select* staging, no same-class mutating calls, "
-     "no draws from the member RNG (copy it into a local first)"},
+     "can_quiesce overrides must be pure: no member writes outside "
+     "*scratch* staging, no same-class mutating calls, no draws from the "
+     "member RNG"},
     {"trace-kind", "safety",
      "\"ev\" names in trace literals must match the trace::EventKind set"},
     {"checks-guard", "safety",
@@ -367,8 +367,8 @@ void rule_static_mutable(Analysis& a) {
     if (!is_const && mutable_data)
       a.flag(t[i].line, "static-mutable",
              "mutable static in protocol code: shared across every node "
-             "and thread, so it breaks both determinism and the wave-"
-             "parallel contract — keep per-node state in the protocol "
+             "and every simulation running in the same process, so it "
+             "breaks determinism — keep per-node state in the protocol "
              "object");
   }
 }
@@ -396,7 +396,7 @@ void rule_trace_kind(Analysis& a) {
           a.flag(tok.line, "trace-kind",
                  "\"ev\":\"" + name + "\" is not a trace::EventKind (known: "
                  "migration, power, shuffle, overload, fault, activity, net, "
-                 "round, qsim, relearn, shard_bytes) — traces written here "
+                 "round, qsim, relearn) — traces written here "
                  "would not parse");
       }
     }
@@ -918,8 +918,8 @@ bool is_project_rule(std::string_view name) {
 
 const std::vector<std::string>& trace_event_kinds() {
   static const std::vector<std::string> kKinds = {
-      "migration", "power", "shuffle",  "overload", "fault",      "activity",
-      "net",       "round", "qsim",     "relearn",  "shard_bytes"};
+      "migration", "power", "shuffle", "overload", "fault",
+      "activity",  "net",   "round",   "qsim",     "relearn"};
   return kKinds;
 }
 

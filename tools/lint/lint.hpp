@@ -2,8 +2,8 @@
 // enforcing the project's determinism and safety rules over src/, bench/,
 // tools/ and tests/support (DESIGN.md §11 documents the full catalogue).
 //
-// The engine's headline claim — bit-identical serial vs wave-parallel
-// rounds — survives only while every source of nondeterminism stays
+// The engine's headline claim — bit-identical serial vs event-engine
+// rounds, reproducible from (config, seed) — survives only while every source of nondeterminism stays
 // quarantined inside src/common (Rng for randomness, PhaseProfiler for
 // wall clocks). Nothing in the compiler enforces that, so this pass does:
 // it lexes each file (comments and string literals stripped), applies

@@ -32,7 +32,7 @@ bool all_caps_macro(const std::string& s) {
   return letter;
 }
 
-/// kCamelCase enumerator -> snake_case table name: kShardBytes -> shard_bytes.
+/// kCamelCase enumerator -> snake_case table name: kFooBar -> foo_bar.
 std::string enum_snake_name(std::string_view enumerator) {
   std::string_view s = enumerator;
   if (s.size() > 1 && s[0] == 'k' &&
@@ -114,7 +114,7 @@ const std::set<std::string_view>& container_mutators() {
   return kMutators;
 }
 
-/// Scans one select_peers/can_quiesce body `[open, close_of(open)]` and
+/// Scans one can_quiesce body `[open, close_of(open)]` and
 /// records candidate purity violations. Over-approximate on purpose:
 /// locals and other objects are weeded out later against the class
 /// registry, so only genuine member touches survive resolution.
@@ -215,7 +215,7 @@ void scan_wave_body(const Cursor& c, std::size_t open,
 }
 
 bool wave_checked_method(const std::string& name) {
-  return name == "select_peers" || name == "can_quiesce";
+  return name == "can_quiesce";
 }
 
 // ---- class / enum / provided-name extraction ---------------------------
@@ -570,9 +570,7 @@ const std::vector<EnumTableSpec>& enum_table_specs() {
 }
 
 bool scratchy(const std::string& name) {
-  const std::string lower = to_lower(name);
-  return lower.find("scratch") != std::string::npos ||
-         lower.find("select") != std::string::npos;
+  return to_lower(name).find("scratch") != std::string::npos;
 }
 
 }  // namespace
@@ -741,9 +739,9 @@ ProjectModel analyze_project(const std::vector<FileSummary>& files,
   };
 
   const std::string contract =
-      " — select_peers/can_quiesce must be pure (src/sim/protocol.hpp): "
-      "the wave engine replays them without the reservation order the "
-      "serial engine saw";
+      " — can_quiesce must be a pure read (src/sim/protocol.hpp): the "
+      "engine polls it after every execution, so a side effect would "
+      "make the schedule depend on how often it is polled";
   for (const FileSummary& f : files) {
     for (const WaveEvent& e : f.wave_events) {
       if (!is_protocol(e.class_name)) continue;
@@ -755,8 +753,8 @@ ProjectModel analyze_project(const std::vector<FileSummary>& files,
             pm.findings.push_back(
                 {f.path, e.line, "wave-safety",
                  e.class_name + "::" + e.method + " draws from RNG member '" +
-                     e.name + "'; dry-run draws must use a local copy "
-                     "(Rng sim_rng = " + e.name + ";)" + contract});
+                     e.name + "'; a vote must not consume randomness" +
+                     contract});
           break;
         case WaveEvent::Kind::kAssign:
           if (members.count(e.name) && !scratchy(e.name))
@@ -764,7 +762,7 @@ ProjectModel analyze_project(const std::vector<FileSummary>& files,
                 {f.path, e.line, "wave-safety",
                  e.class_name + "::" + e.method + " assigns to member '" +
                      e.name + "'; stage per-call state in a member named "
-                     "*scratch*/*select* instead" + contract});
+                     "*scratch* instead" + contract});
           break;
         case WaveEvent::Kind::kMutateCall:
           if (members.count(e.name) && !scratchy(e.name))
@@ -772,7 +770,7 @@ ProjectModel analyze_project(const std::vector<FileSummary>& files,
                 {f.path, e.line, "wave-safety",
                  e.class_name + "::" + e.method + " mutates member '" +
                      e.name + "' in place; stage per-call state in a member "
-                     "named *scratch*/*select* instead" + contract});
+                     "named *scratch* instead" + contract});
           break;
         case WaveEvent::Kind::kBareCall: {
           if (e.name == e.method) break;

@@ -1,7 +1,6 @@
 // Cross-TU project model for glap-lint. The per-file rules in lint.cpp
 // see one token stream at a time; the properties that actually carry the
-// determinism contract — module layering, select_peers/can_quiesce
-// purity, and the pinned enum↔name/byte tables shared by GTB, the trace
+// determinism contract — module layering, can_quiesce purity, and the pinned enum↔name/byte tables shared by GTB, the trace
 // checker and the wake scheduler — span translation units. This layer
 // summarizes each file once (`summarize_source`, pure and cacheable) and
 // then runs the project-scoped rules over the joined summaries
@@ -10,9 +9,9 @@
 //   layering         src/ module include edges must match the checked-in
 //                    tools/lint/layers.txt DAG (undeclared edges, stale
 //                    declared edges and cycles are findings)
-//   wave-safety      select_peers/can_quiesce overrides in Protocol
-//                    subclasses must not write members outside the
-//                    scratch_*/_select_ staging convention, call a
+//   wave-safety      can_quiesce overrides in Protocol subclasses must
+//                    not write members outside the scratch_* staging
+//                    convention, call a
 //                    mutating method of their own class, or draw from the
 //                    member RNG (src/sim/protocol.hpp states the contract)
 //   table-sync       every enumerator of a registered pinned enum must
@@ -56,7 +55,7 @@ struct EnumDecl {
   std::vector<std::string> enumerators;
 };
 
-/// A candidate purity violation inside a select_peers/can_quiesce body.
+/// A candidate purity violation inside a can_quiesce body.
 /// Extraction is per-file and over-approximate; resolution against the
 /// class registry (members, base chains, const-ness) happens in
 /// analyze_project, so locals and other objects never fire.
@@ -70,7 +69,7 @@ struct WaveEvent {
   Kind kind = Kind::kAssign;
   std::size_t line = 0;
   std::string class_name;  ///< enclosing class (from decl or X::method)
-  std::string method;      ///< "select_peers" or "can_quiesce"
+  std::string method;      ///< "can_quiesce"
   std::string name;        ///< the identifier involved
 };
 
