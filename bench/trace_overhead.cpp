@@ -2,20 +2,24 @@
 // it is off, and cheap when it is on.
 //
 // Checks 1-2 run on the BENCH_engine.json glap_150pm shape (150 PMs,
-// 200 warmup + 150 eval rounds, serial engine); check 3 runs at 1000 PMs:
+// 200 warmup + 150 eval rounds, serial engine); check 3 runs at 1000 PMs.
+// Every gate is a same-process ratio, so none depends on the host:
 //
 //   1. enabled-cost gate (hard): rounds/sec with metrics + full JSONL
 //      tracing enabled must stay above --min-on-ratio (default 0.5) of
 //      the tracing-off throughput of the same binary;
-//   2. reference gate: tracing-off rounds/sec is compared against the
-//      committed glap_150pm_serial_rounds_per_sec in BENCH_engine.json
-//      (or --reference <path>). Throughput below --min-ref-ratio
-//      (default 0.5, generous because the recorded number is
-//      host-dependent) fails; a missing reference file only warns.
+//   2. flight-recorder gate (hard): the always-on recorder's cost. Seven
+//      interleaved pairs of runs with the recorder on (the default,
+//      tracing otherwise off) and off (flight_recorder_rounds = 0), the
+//      order flipped every pair so slow drift hits both arms alike; the
+//      median per-pair on/off ratio must stay above --min-recorder-ratio
+//      (default 0.9). The median and the per-pair spread are published
+//      as the recorder's measured cost;
 //   3. metrics-only gate (hard): at 1000 PMs, metrics ON with tracing OFF
 //      must stay above --min-metrics-ratio (default 0.9) of metrics OFF —
-//      the registry's per-shard counters are the only instrumentation on
-//      that path, and they must cost no more than a few percent.
+//      the registry's counters and histograms are the only
+//      instrumentation on that path, and they must cost no more than a
+//      few percent.
 //   4. scale gate (hard): at 10k PMs on the event engine with quiescence
 //      (the CI scale-smoke shape), a sampled GTB trace (5% shuffle keep,
 //      DESIGN.md §10.6) must come out at least --min-size-ratio (default
@@ -27,18 +31,20 @@
 //
 // scripts/ci.sh runs this as its trace-overhead stage:
 //
-//   build-release/bench/trace_overhead --reference BENCH_engine.json
+//   build-release/bench/trace_overhead
 //
 // glap-lint: allow-file(wall-clock): this bench exists to measure wall-
 // clock throughput ratios; timings are compared and reported, never fed
 // back into simulation state.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "common/stats.hpp"
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
 
@@ -77,6 +83,51 @@ double rounds_per_sec(std::ostringstream* sink, int reps) {
     best = std::max(best, total_rounds / elapsed);
   }
   return best;
+}
+
+/// Rounds/sec of one run of the 150-PM shape with tracing off;
+/// `flight_rounds` = 0 switches the always-on flight recorder off too.
+double recorder_rounds_per_sec(std::size_t flight_rounds) {
+  harness::ExperimentConfig config = overhead_config();
+  config.observability.flight_recorder_rounds = flight_rounds;
+  const double total_rounds =
+      static_cast<double>(config.warmup_rounds + config.rounds);
+  const auto start = Clock::now();
+  const auto result = harness::run_experiment(config);
+  const double elapsed =
+      std::chrono::duration<double>(Clock::now() - start).count();
+  if (result.rounds.size() != config.rounds) std::abort();
+  return total_rounds / elapsed;
+}
+
+/// Interleaved recorder on/off pairs: enough for a median that one slow
+/// run cannot move.
+constexpr int kRecorderPairs = 7;
+
+struct RecorderPair {
+  double on = 0.0;   ///< rounds/sec, flight recorder on
+  double off = 0.0;  ///< rounds/sec, flight recorder off
+};
+
+std::vector<RecorderPair> recorder_pairs() {
+  const std::size_t on_rounds =
+      harness::ObservabilityConfig{}.flight_recorder_rounds;
+  std::vector<RecorderPair> pairs(kRecorderPairs);
+  for (int i = 0; i < kRecorderPairs; ++i) {
+    RecorderPair& p = pairs[static_cast<std::size_t>(i)];
+    if (i % 2 == 0) {
+      p.on = recorder_rounds_per_sec(on_rounds);
+      p.off = recorder_rounds_per_sec(0);
+    } else {
+      p.off = recorder_rounds_per_sec(0);
+      p.on = recorder_rounds_per_sec(on_rounds);
+    }
+    std::fprintf(stderr,
+                 "[trace_overhead]   pair %d: on %.2f, off %.2f rounds/sec "
+                 "(%.3f)\n",
+                 i + 1, p.on, p.off, p.on / p.off);
+  }
+  return pairs;
 }
 
 /// Best-of-`reps` rounds/sec at 1000 PMs with tracing off throughout;
@@ -146,20 +197,6 @@ ScaleRun scale_run(ScaleMode mode, int reps) {
   return best;
 }
 
-/// Extracts `"key": <number>` from a JSON file by string search — enough
-/// for the flat committed baseline records.
-bool find_number(const std::string& path, const char* key, double* out) {
-  std::ifstream in(path);
-  if (!in.is_open()) return false;
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t pos = text.find(needle);
-  if (pos == std::string::npos) return false;
-  return std::sscanf(text.c_str() + pos + needle.size(), " %lf", out) == 1;
-}
-
 double arg_ratio(int argc, char** argv, const char* flag, double fallback) {
   for (int i = 1; i + 1 < argc; ++i)
     if (std::strcmp(argv[i], flag) == 0) return std::atof(argv[i + 1]);
@@ -169,11 +206,9 @@ double arg_ratio(int argc, char** argv, const char* flag, double fallback) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string reference;
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], "--reference") == 0) reference = argv[i + 1];
   const double min_on_ratio = arg_ratio(argc, argv, "--min-on-ratio", 0.5);
-  const double min_ref_ratio = arg_ratio(argc, argv, "--min-ref-ratio", 0.5);
+  const double min_recorder_ratio =
+      arg_ratio(argc, argv, "--min-recorder-ratio", 0.9);
   const double min_metrics_ratio =
       arg_ratio(argc, argv, "--min-metrics-ratio", 0.9);
 
@@ -193,6 +228,27 @@ int main(int argc, char** argv) {
                  "[trace_overhead] FAIL: enabled tracing costs too much "
                  "(%.2f < %.2f x %.2f)\n",
                  on, min_on_ratio, off);
+    ok = false;
+  }
+
+  std::fprintf(stderr,
+               "[trace_overhead] flight recorder on/off (%d interleaved "
+               "pairs)...\n",
+               kRecorderPairs);
+  const std::vector<RecorderPair> pairs = recorder_pairs();
+  std::vector<double> ratios;
+  for (const RecorderPair& p : pairs) ratios.push_back(p.on / p.off);
+  const double recorder_ratio = percentile(ratios, 50.0);
+  const auto [ratio_min, ratio_max] =
+      std::minmax_element(ratios.begin(), ratios.end());
+  std::printf("[trace_overhead] flight recorder on/off: median %.3f over %d "
+              "pairs (min %.3f, max %.3f)\n",
+              recorder_ratio, kRecorderPairs, *ratio_min, *ratio_max);
+  if (recorder_ratio < min_recorder_ratio) {
+    std::fprintf(stderr,
+                 "[trace_overhead] FAIL: the always-on flight recorder "
+                 "costs too much (median on/off %.3f < %.2f)\n",
+                 recorder_ratio, min_recorder_ratio);
     ok = false;
   }
 
@@ -253,29 +309,6 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  double recorded = 0.0;
-  if (reference.empty()) {
-    std::fprintf(stderr, "[trace_overhead] no --reference given; skipping "
-                         "baseline comparison\n");
-  } else if (!find_number(reference, "glap_150pm_serial_rounds_per_sec",
-                          &recorded)) {
-    std::fprintf(stderr,
-                 "[trace_overhead] warning: cannot read "
-                 "glap_150pm_serial_rounds_per_sec from %s; skipping\n",
-                 reference.c_str());
-  } else {
-    std::printf("[trace_overhead] recorded baseline: %.2f rounds/sec "
-                "(off/recorded %.2f)\n",
-                recorded, recorded > 0 ? off / recorded : 0.0);
-    if (off < min_ref_ratio * recorded) {
-      std::fprintf(stderr,
-                   "[trace_overhead] FAIL: tracing-off throughput fell "
-                   "below %.0f%% of the recorded baseline (%.2f < %.2f)\n",
-                   100.0 * min_ref_ratio, off, min_ref_ratio * recorded);
-      ok = false;
-    }
-  }
-
   harness::BenchReport report(
       "trace_overhead",
       "Trace overhead — rounds/sec off vs on (host-dependent)");
@@ -293,6 +326,25 @@ int main(int argc, char** argv) {
   std::snprintf(buf, sizeof(buf), "%.2f",
                 metrics_off > 0 ? metrics_on / metrics_off : 0.0);
   report.add_headline("metrics_on_off_ratio_1000pm", buf);
+  std::snprintf(buf, sizeof(buf), "%.3f", recorder_ratio);
+  report.add_headline("flight_recorder_on_off_ratio", buf);
+  std::snprintf(buf, sizeof(buf), "%.3f", *ratio_min);
+  report.add_headline("flight_recorder_on_off_ratio_min", buf);
+  std::snprintf(buf, sizeof(buf), "%.3f", *ratio_max);
+  report.add_headline("flight_recorder_on_off_ratio_max", buf);
+  std::vector<std::vector<std::string>> pair_rows;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    std::vector<std::string> row{std::to_string(i + 1)};
+    for (const double v : {pairs[i].on, pairs[i].off, ratios[i]}) {
+      std::snprintf(buf, sizeof(buf), "%.3f", v);
+      row.emplace_back(buf);
+    }
+    pair_rows.push_back(std::move(row));
+  }
+  report.add_table("flight_recorder_pairs",
+                   {"pair", "on_rounds_per_sec", "off_rounds_per_sec",
+                    "on_off_ratio"},
+                   pair_rows);
   report.add_headline("status", ok ? "OK" : "FAIL");
   report.write();
 

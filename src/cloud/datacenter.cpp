@@ -238,9 +238,9 @@ MigrationRecord DataCenter::migrate(VmId vm_id, PmId to) {
   ++migrations_this_round_;
   migrations_.push_back(record);
   if (trace_ != nullptr)
-    trace_->emit(trace::Kind::kMigration, static_cast<std::int64_t>(vm_id),
-                 static_cast<std::int64_t>(from), static_cast<std::int64_t>(to),
-                 0, moving_usage.cpu, energy);
+    trace_->migration(static_cast<std::int64_t>(vm_id),
+                      static_cast<std::int64_t>(from),
+                      static_cast<std::int64_t>(to), moving_usage.cpu, energy);
   if (ctr_migrations_ != nullptr) {
     ctr_migrations_->inc();
     hist_tau_->observe(tau);
@@ -265,8 +265,7 @@ void DataCenter::set_power(PmId id, PmPower power) {
   else
     ++active_pms_;
   if (trace_ != nullptr)
-    trace_->emit(trace::Kind::kPower, static_cast<std::int64_t>(id),
-                 power == PmPower::kSleep ? 0 : 1);
+    trace_->power(static_cast<std::int64_t>(id), power != PmPower::kSleep);
   if (ctr_power_transitions_ != nullptr) ctr_power_transitions_->inc();
   if (wake_hook_) wake_hook_(id, WakeEvent::kPower);
 }

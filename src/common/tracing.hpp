@@ -1,11 +1,12 @@
 // Round-level event trace. One record per event in either of two
 // byte-deterministic encodings — the JSONL text format or GTB, the
 // compact binary format (common/trace_format.hpp) — selected per log.
-// Events emitted from inside engine interactions are buffered in emit
-// order and rendered at commit_round() with the round number current at
-// that point; the simulation runs on one thread, so emit order is the
-// execution order and the trace bytes are identical between the serial
-// and event engines in both formats (DESIGN.md §10 lists the schema).
+// The entry points mirror the line shapes of common/trace_schema.hpp.
+// Events emitted from inside engine interactions are buffered, as typed
+// TraceEvent records, in emit order and rendered at commit_round() with
+// the round number current at that point; the simulation runs on one
+// thread, so emit order is the execution order and the trace bytes are
+// identical between the serial and event engines in both formats.
 //
 // Deterministic sampling (DESIGN.md §10.6): the high-volume interaction
 // kinds (shuffle, net) can be thinned by a keep-probability decided by a
@@ -29,40 +30,13 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/trace_reader.hpp"
+#include "common/trace_schema.hpp"
 
 namespace glap::flight {
 class FlightRecorder;
 }
 
 namespace glap::trace {
-
-/// Event kinds rendered into the JSONL "ev" field. Values mirror the
-/// first entries of trace::EventKind (trace_reader.hpp).
-enum class Kind : std::uint8_t {
-  kMigration,    // a=vm, b=from_pm, c=to_pm, x=cpu, y=energy_j
-  kPower,        // a=pm, b=on(0/1)
-  kShuffle,      // a=initiator, b=peer, c=sent_entries, d=reply_entries
-  kOverload,     // a=pm, x=cpu_utilization
-  kFault,        // a=pm, b=fault_code, x=value — reserved for PM-fault
-                 // injection (crash-stop, message loss, partition); no
-                 // current emit site, but the wire format is fixed now so
-                 // fault traces parse with today's trace_reader
-  kActivity,     // a=pm, b=awake(0/1), c=reason code — quiescence
-                 // transition under the event/quiescence engine
-                 // (DESIGN.md §12); reason codes mirror sim::WakeReason
-  kNet,          // network-model event (DESIGN.md §13): a=op (0 send,
-                 // 1 deliver, 2 drop), b=src pm, c=dst pm, d=msg id,
-                 // x=bytes|delay|drop-reason code, y=channel code; the
-                 // driver-only queue-depth line ("op":"queue") bypasses
-                 // the buffers via net_queue()
-};
-
-[[nodiscard]] const char* kind_name(Kind k);
-
-/// Reason string for "activity" events; codes mirror sim::WakeReason in
-/// declaration order (tests/common/test_tracing.cpp pins the mapping).
-[[nodiscard]] const char* activity_reason_name(std::int64_t code);
 
 /// Trace encodings; readers auto-detect which one a file carries.
 enum class Format : std::uint8_t {
@@ -102,24 +76,55 @@ class TraceLog {
 
   [[nodiscard]] Format format() const noexcept { return format_; }
 
-  /// Records an event from inside an engine interaction; rendered in emit
-  /// order at commit_round(). Sampled-out events are dropped here, before
-  /// they consume buffer space — the keep decision is a pure hash,
-  /// identical for every engine.
-  void emit(Kind kind, std::int64_t a = 0, std::int64_t b = 0,
-            std::int64_t c = 0, std::int64_t d = 0, double x = 0.0,
-            double y = 0.0) {
-    if (kind == Kind::kShuffle) {
-      if (!shuffle_keep_all_ &&
-          !sample_keep(hash_combine(round_, static_cast<std::uint64_t>(a)),
-                       sampling_.shuffle_keep))
-        return;
-    } else if (kind == Kind::kNet) {
-      if (!net_keep_all_ &&
-          !sample_keep(static_cast<std::uint64_t>(d), sampling_.net_keep))
-        return;
-    }
-    pending_.push_back({kind, a, b, c, d, x, y});
+  // ---- interaction events ----
+  // Recorded from inside engine interactions and rendered in emit order
+  // at commit_round(). Sampled-out events are dropped here, before they
+  // consume buffer space — the keep decision is a pure hash, identical
+  // for every engine.
+
+  void migration(std::int64_t vm, std::int64_t from, std::int64_t to,
+                 double cpu, double energy_j) {
+    buffer(Migration{vm, from, to, cpu, energy_j});
+  }
+
+  void power(std::int64_t pm, bool on) { buffer(Power{pm, on}); }
+
+  void shuffle(std::int64_t initiator, std::int64_t peer, std::int64_t sent,
+               std::int64_t reply) {
+    if (!shuffle_keep_all_ &&
+        !sample_keep(
+            hash_combine(round_, static_cast<std::uint64_t>(initiator)),
+            sampling_.shuffle_keep))
+      return;
+    buffer(Shuffle{initiator, peer, sent, reply});
+  }
+
+  /// Reserved for PM-fault injection (crash-stop, message loss,
+  /// partition): no current emit site, but the wire format is fixed now
+  /// so fault traces parse with today's readers.
+  void fault(std::int64_t pm, std::int64_t kind, double value) {
+    buffer(Fault{pm, kind, value});
+  }
+
+  /// Quiescence transition under the event/quiescence engine (DESIGN.md
+  /// §12); `reason` is the sim::WakeReason code.
+  void activity(std::int64_t pm, bool awake, std::uint8_t reason) {
+    buffer(Activity{pm, awake, reason});
+  }
+
+  /// Network-model events (DESIGN.md §13); `channel` is the net::Channel
+  /// code and `reason` the net::DropReason code.
+  void net_send(std::int64_t src, std::int64_t dst, std::int64_t msg,
+                std::int64_t bytes, std::uint8_t channel) {
+    if (keep_net(msg)) buffer(NetSend{src, dst, msg, bytes, channel});
+  }
+  void net_deliver(std::int64_t src, std::int64_t dst, std::int64_t msg,
+                   std::int64_t delay) {
+    if (keep_net(msg)) buffer(NetDeliver{src, dst, msg, delay});
+  }
+  void net_drop(std::int64_t src, std::int64_t dst, std::int64_t msg,
+                std::uint8_t reason) {
+    if (keep_net(msg)) buffer(NetDrop{src, dst, msg, reason});
   }
 
   /// Starts a new round: subsequent events tag this round number, and the
@@ -136,35 +141,38 @@ class TraceLog {
   /// Per-round aggregate line ("ev":"round"): totals are deterministic.
   void round_summary(std::uint64_t round, std::uint64_t active_pms,
                      std::uint64_t overloaded_pms, std::uint64_t migrations,
-                     std::uint64_t messages, std::uint64_t bytes);
+                     std::uint64_t messages, std::uint64_t bytes) {
+    write_event({round, RoundSummary{active_pms, overloaded_pms, migrations,
+                                     messages, bytes}});
+  }
 
   /// Q-table cosine-similarity probe ("ev":"qsim").
-  void qsim(std::uint64_t round, double similarity);
+  void qsim(std::uint64_t round, double similarity) {
+    write_event({round, Qsim{similarity}});
+  }
 
   /// Per-PM overload line ("ev":"overload"); the harness scans PMs in id
   /// order at the quiescent point after each evaluation round.
-  void overload(std::uint64_t round, std::int64_t pm, double cpu);
+  void overload(std::uint64_t round, std::int64_t pm, double cpu) {
+    write_event({round, Overload{pm, cpu}});
+  }
 
   /// GLAP re-learning trigger ("ev":"relearn").
-  void relearn(std::uint64_t round);
+  void relearn(std::uint64_t round) { write_event({round, Relearn{}}); }
 
   /// Network queue-depth line ("ev":"net","op":"queue"): the backlog of
-  /// one link at the end of a round. `link` is "access" or "uplink", `id`
-  /// the PM or rack index. Driver-only; the harness scans links in id
-  /// order at the quiescent point, so the lines are deterministic. The
-  /// network model skips zero-backlog links entirely (§13.6): healthy
-  /// large runs pay no O(links) trace lines, and readers must tolerate
-  /// per-round gaps in queue coverage.
-  void net_queue(std::uint64_t round, const char* link, std::int64_t id,
-                 std::uint64_t backlog_bytes);
+  /// one link at the end of a round, `id` the PM or rack index. The
+  /// harness scans links in id order at the quiescent point, so the lines
+  /// are deterministic. The network model skips zero-backlog links
+  /// entirely (§13.6): healthy large runs pay no O(links) trace lines,
+  /// and readers must tolerate per-round gaps in queue coverage.
+  void net_queue(std::uint64_t round, NetLink link, std::int64_t id,
+                 std::uint64_t backlog_bytes) {
+    write_event({round, NetQueue{static_cast<std::uint8_t>(link), id,
+                                 static_cast<std::int64_t>(backlog_bytes)}});
+  }
 
  private:
-  struct Event {
-    Kind kind;
-    std::int64_t a, b, c, d;
-    double x, y;
-  };
-
   [[nodiscard]] bool sample_keep(std::uint64_t key,
                                  double keep) const noexcept {
     return static_cast<double>(hash_combine(sample_seed_, key) >> 11) *
@@ -172,10 +180,19 @@ class TraceLog {
            keep;
   }
 
-  /// Converts one buffered tuple into the scratch TraceEvent.
-  void to_trace_event(const Event& e);
-  /// Renders the scratch TraceEvent to the sink and flight recorder.
-  void write_event();
+  [[nodiscard]] bool keep_net(std::int64_t msg) const noexcept {
+    return net_keep_all_ ||
+           sample_keep(static_cast<std::uint64_t>(msg), sampling_.net_keep);
+  }
+
+  /// Queues an interaction event; commit_round() stamps its round.
+  template <class Payload>
+  void buffer(const Payload& payload) {
+    pending_.emplace_back(0, payload);
+  }
+
+  /// Renders one record to the sink and the flight recorder.
+  void write_event(const TraceEvent& e);
 
   std::ostream* out_;
   Format format_;
@@ -185,10 +202,9 @@ class TraceLog {
   std::uint64_t sample_seed_;
   flight::FlightRecorder* recorder_ = nullptr;
   std::uint64_t round_ = 0;
-  TraceEvent ev_;        ///< scratch event (string fields stay SSO-short)
-  std::string bytes_;    ///< scratch rendering of one record
+  std::string bytes_;           ///< scratch rendering of one record
   std::string recorder_bytes_;  ///< scratch GTB tee when the sink is JSONL
-  std::vector<Event> pending_;  ///< emitted since the last commit_round()
+  std::vector<TraceEvent> pending_;  ///< emitted since the last commit_round()
 };
 
 }  // namespace glap::trace

@@ -9,27 +9,6 @@
 
 namespace glap::net {
 
-const char* channel_name(Channel c) noexcept {
-  switch (c) {
-    case Channel::kShuffle: return "shuffle";
-    case Channel::kLearning: return "learning";
-    case Channel::kAggregation: return "aggregation";
-    case Channel::kConsolidation: return "consolidation";
-    case Channel::kProbe: return "probe";
-    case Channel::kMigration: return "migration";
-  }
-  return "?";
-}
-
-const char* drop_reason_name(DropReason r) noexcept {
-  switch (r) {
-    case DropReason::kNone: return "none";
-    case DropReason::kLoss: return "loss";
-    case DropReason::kCongestion: return "congestion";
-  }
-  return "?";
-}
-
 NetworkModel::NetworkModel(std::size_t pm_count, std::size_t rack_size,
                            const NetworkConfig& config, double round_seconds,
                            std::uint64_t seed)
@@ -114,29 +93,29 @@ void NetworkModel::emit_send(sim::NodeId from, sim::NodeId to,
                              std::uint64_t msg_id, std::size_t bytes,
                              Channel channel) {
   if (trace_ != nullptr)
-    trace_->emit(trace::Kind::kNet, /*op=*/0, static_cast<std::int64_t>(from),
-                 static_cast<std::int64_t>(to),
-                 static_cast<std::int64_t>(msg_id),
-                 static_cast<double>(bytes),
-                 static_cast<double>(static_cast<int>(channel)));
+    trace_->net_send(static_cast<std::int64_t>(from),
+                     static_cast<std::int64_t>(to),
+                     static_cast<std::int64_t>(msg_id),
+                     static_cast<std::int64_t>(bytes),
+                     static_cast<std::uint8_t>(channel));
 }
 
 void NetworkModel::emit_deliver(sim::NodeId from, sim::NodeId to,
                                 std::uint64_t msg_id, sim::Round delay) {
   if (trace_ != nullptr)
-    trace_->emit(trace::Kind::kNet, /*op=*/1, static_cast<std::int64_t>(from),
-                 static_cast<std::int64_t>(to),
-                 static_cast<std::int64_t>(msg_id),
-                 static_cast<double>(delay), 0.0);
+    trace_->net_deliver(static_cast<std::int64_t>(from),
+                        static_cast<std::int64_t>(to),
+                        static_cast<std::int64_t>(msg_id),
+                        static_cast<std::int64_t>(delay));
 }
 
 void NetworkModel::emit_drop(sim::NodeId from, sim::NodeId to,
                              std::uint64_t msg_id, DropReason reason) {
   if (trace_ != nullptr)
-    trace_->emit(trace::Kind::kNet, /*op=*/2, static_cast<std::int64_t>(from),
-                 static_cast<std::int64_t>(to),
-                 static_cast<std::int64_t>(msg_id),
-                 static_cast<double>(static_cast<int>(reason)), 0.0);
+    trace_->net_drop(static_cast<std::int64_t>(from),
+                     static_cast<std::int64_t>(to),
+                     static_cast<std::int64_t>(msg_id),
+                     static_cast<std::uint8_t>(reason));
 }
 
 Verdict NetworkModel::admit(sim::NodeId from, sim::NodeId to,
@@ -259,11 +238,13 @@ void NetworkModel::trace_queue_depths(sim::Round round) {
   if (trace_ == nullptr) return;
   for (std::size_t p = 0; p < access_backlog_.size(); ++p)
     if (access_backlog_[p] > 0.0)
-      trace_->net_queue(round, "access", static_cast<std::int64_t>(p),
+      trace_->net_queue(round, trace::NetLink::kAccess,
+                        static_cast<std::int64_t>(p),
                         static_cast<std::uint64_t>(access_backlog_[p]));
   for (std::size_t r = 0; r < uplink_backlog_.size(); ++r)
     if (uplink_backlog_[r] > 0.0)
-      trace_->net_queue(round, "uplink", static_cast<std::int64_t>(r),
+      trace_->net_queue(round, trace::NetLink::kUplink,
+                        static_cast<std::int64_t>(r),
                         static_cast<std::uint64_t>(uplink_backlog_[r]));
 }
 

@@ -63,7 +63,8 @@ struct NetworkConfig {
   bool migration_contention = true;
 };
 
-/// Traffic classes; rendered into "net" trace events by name.
+/// Traffic classes; "net" trace events carry the code, named by
+/// trace::kChannelNames (common/trace_schema.hpp).
 enum class Channel : std::uint8_t {
   kShuffle = 0,       ///< overlay membership (Cyclon/Newscast)
   kLearning = 1,      ///< GLAP workload-profile fetch
@@ -73,12 +74,9 @@ enum class Channel : std::uint8_t {
   kMigration = 5,     ///< live-migration payload (pre-copy stream)
 };
 
-[[nodiscard]] const char* channel_name(Channel c) noexcept;
-
-/// Why a message was dropped; rendered into "net" drop events by name.
+/// Why a message was dropped; "net" drop events carry the code, named by
+/// trace::kDropReasonNames.
 enum class DropReason : std::uint8_t { kNone = 0, kLoss = 1, kCongestion = 2 };
-
-[[nodiscard]] const char* drop_reason_name(DropReason r) noexcept;
 
 /// Admission decision for one exchange.
 struct Verdict {

@@ -203,10 +203,10 @@ void CyclonProtocol::execute(sim::Engine& engine, sim::NodeId self,
           static_cast<double>(scratch_outgoing_.size() + reply.size()));
     }
     if (trace::TraceLog* t = engine.trace_log())
-      t->emit(trace::Kind::kShuffle, static_cast<std::int64_t>(self),
-              static_cast<std::int64_t>(peer),
-              static_cast<std::int64_t>(scratch_outgoing_.size()),
-              static_cast<std::int64_t>(reply.size()));
+      t->shuffle(static_cast<std::int64_t>(self),
+                 static_cast<std::int64_t>(peer),
+                 static_cast<std::int64_t>(scratch_outgoing_.size()),
+                 static_cast<std::int64_t>(reply.size()));
     merge(self, reply, scratch_sent_);
     return;
   }

@@ -131,10 +131,10 @@ void NewscastProtocol::execute(sim::Engine& engine, sim::NodeId self,
     engine.network().count_message(peer, self, reply.size() * kItemBytes);
     if (ctr_exchanges_ != nullptr) ctr_exchanges_->inc();
     if (trace::TraceLog* t = engine.trace_log())
-      t->emit(trace::Kind::kShuffle, static_cast<std::int64_t>(self),
-              static_cast<std::int64_t>(peer),
-              static_cast<std::int64_t>(outgoing.size()),
-              static_cast<std::int64_t>(reply.size()));
+      t->shuffle(static_cast<std::int64_t>(self),
+                 static_cast<std::int64_t>(peer),
+                 static_cast<std::int64_t>(outgoing.size()),
+                 static_cast<std::int64_t>(reply.size()));
     std::vector<Item> incoming = reply;
     incoming.push_back({peer, now});
     merge(self, incoming);

@@ -31,8 +31,8 @@ enum class NodeStatus : std::uint8_t { kActive, kSleeping, kFailed };
 
 /// Cause attached to a quiescence/activity transition (DESIGN.md §12).
 /// kConverged tags the parking transition itself; the rest tag the event
-/// that re-activated a quiescent node. Rendered into "activity" trace
-/// events, so the names are part of the trace schema.
+/// that re-activated a quiescent node. "activity" trace events carry the
+/// code, named by trace::kWakeReasonNames (common/trace_schema.hpp).
 enum class WakeReason : std::uint8_t {
   kConverged,  ///< every protocol slot voted can_quiesce — node parked
   kGossip,     ///< an incoming gossip exchange touched the node's state
@@ -43,27 +43,5 @@ enum class WakeReason : std::uint8_t {
   kRelearn,    ///< fleet-wide re-learning trigger
   kNetwork,    ///< a delayed network delivery came due (DESIGN.md §13)
 };
-
-[[nodiscard]] constexpr const char* to_string(WakeReason r) noexcept {
-  switch (r) {
-    case WakeReason::kConverged:
-      return "converged";
-    case WakeReason::kGossip:
-      return "gossip";
-    case WakeReason::kDemand:
-      return "demand";
-    case WakeReason::kMigration:
-      return "migration";
-    case WakeReason::kStatus:
-      return "status";
-    case WakeReason::kSchedule:
-      return "schedule";
-    case WakeReason::kRelearn:
-      return "relearn";
-    case WakeReason::kNetwork:
-      return "network";
-  }
-  return "?";
-}
 
 }  // namespace glap::sim

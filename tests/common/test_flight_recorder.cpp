@@ -14,7 +14,7 @@
 #include "common/assert.hpp"
 #include "common/metrics.hpp"
 #include "common/trace_format.hpp"
-#include "common/trace_reader.hpp"
+#include "trace_analysis/trace_reader.hpp"
 
 namespace glap::flight {
 namespace {

@@ -1,7 +1,8 @@
 // GTB wire format (DESIGN.md §10.6): per-kind encode/decode round-trips,
-// the versioned header, the name/code tables, and the strict rejection of
-// corrupt records. render_jsonl is pinned against parse_trace_line so the
-// two encodings stay interchangeable carriers of the same event stream.
+// the versioned header, the schema's name tables, and the strict
+// rejection of corrupt records. render_jsonl is pinned against
+// parse_trace_line so the two encodings stay interchangeable carriers of
+// the same event stream.
 #include "common/trace_format.hpp"
 
 #include <gtest/gtest.h>
@@ -10,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "common/trace_reader.hpp"
+#include "trace_analysis/trace_reader.hpp"
 
 namespace glap::trace {
 namespace {
@@ -111,7 +112,7 @@ TEST(GtbRoundTrip, OverloadAndFaultAndQsim) {
   e.fault = {17, 3, 2.5};
   const TraceEvent f = gtb_round_trip(e);
   EXPECT_EQ(f.fault.pm, 17);
-  EXPECT_EQ(f.fault.code, 3);
+  EXPECT_EQ(f.fault.kind, 3);
   EXPECT_EQ(f.fault.value, 2.5);
 
   e.kind = EventKind::kQsim;
@@ -125,54 +126,35 @@ TEST(GtbRoundTrip, ActivityCarriesReasonByCode) {
   e.round = 6;
   e.activity.pm = 5;
   e.activity.awake = true;
-  // Every code in the table survives; the decoder restores the name.
-  for (const char* reason : {"converged", "gossip", "demand", "migration",
-                             "status", "schedule", "relearn", "network"}) {
+  // Every code in the table survives.
+  for (std::uint8_t reason = 0; reason < std::size(kWakeReasonNames);
+       ++reason) {
     e.activity.reason = reason;
     EXPECT_EQ(gtb_round_trip(e).activity.reason, reason);
   }
 }
 
 TEST(GtbRoundTrip, NetAllFourOps) {
-  TraceEvent e;
-  e.kind = EventKind::kNet;
-  e.round = 20;
-  e.net.op = "send";
-  e.net.src = 3;
-  e.net.dst = 8;
-  e.net.msg = 101;
-  e.net.bytes = 512;
-  e.net.channel = "learning";
-  const TraceEvent s = gtb_round_trip(e);
-  EXPECT_EQ(s.net.op, "send");
-  EXPECT_EQ(s.net.bytes, 512);
-  EXPECT_EQ(s.net.channel, "learning");
+  const TraceEvent s =
+      gtb_round_trip(TraceEvent(20, NetSend{3, 8, 101, 512, 1}));
+  ASSERT_EQ(s.op, NetOp::kSend);
+  EXPECT_EQ(s.net_send.bytes, 512);
+  EXPECT_EQ(code_name(kChannels, s.net_send.channel), "learning");
 
-  e.net = {};
-  e.net.op = "deliver";
-  e.net.src = 3;
-  e.net.dst = 8;
-  e.net.msg = 101;
-  e.net.delay = 2;
-  EXPECT_EQ(gtb_round_trip(e).net.delay, 2);
+  const TraceEvent d =
+      gtb_round_trip(TraceEvent(20, NetDeliver{3, 8, 101, 2}));
+  ASSERT_EQ(d.op, NetOp::kDeliver);
+  EXPECT_EQ(d.net_deliver.delay, 2);
 
-  e.net = {};
-  e.net.op = "drop";
-  e.net.src = 3;
-  e.net.dst = 8;
-  e.net.msg = 102;
-  e.net.reason = "congestion";
-  EXPECT_EQ(gtb_round_trip(e).net.reason, "congestion");
+  const TraceEvent x = gtb_round_trip(TraceEvent(20, NetDrop{3, 8, 102, 2}));
+  ASSERT_EQ(x.op, NetOp::kDrop);
+  EXPECT_EQ(code_name(kDropReasons, x.net_drop.reason), "congestion");
 
-  e.net = {};
-  e.net.op = "queue";
-  e.net.link = "uplink";
-  e.net.link_id = 3;
-  e.net.bytes = 65536;
-  const TraceEvent q = gtb_round_trip(e);
-  EXPECT_EQ(q.net.link, "uplink");
-  EXPECT_EQ(q.net.link_id, 3);
-  EXPECT_EQ(q.net.bytes, 65536);
+  const TraceEvent q = gtb_round_trip(TraceEvent(20, NetQueue{1, 3, 65536}));
+  ASSERT_EQ(q.op, NetOp::kQueue);
+  EXPECT_EQ(code_name(kNetLinks, q.net_queue.link), "uplink");
+  EXPECT_EQ(q.net_queue.id, 3);
+  EXPECT_EQ(q.net_queue.bytes, 65536);
 }
 
 TEST(GtbRoundTrip, DriverSummaryAndRelearn) {
@@ -202,45 +184,72 @@ TEST(GtbRoundTrip, ExtremeDoublesSurviveBitExactly) {
   }
 }
 
+/// Every schema shape, its fields filled with distinct non-zero values
+/// (codes with their last name).
+std::vector<TraceEvent> one_event_per_shape() {
+  std::vector<TraceEvent> events;
+  for (std::size_t k = 0; k < kEventKindCount; ++k)
+    for (std::uint8_t op = 0; op <= static_cast<std::uint8_t>(NetOp::kNone);
+         ++op) {
+      TraceEvent e;
+      if (!blank_event(static_cast<EventKind>(k), static_cast<NetOp>(op),
+                       7 + k, &e))
+        continue;
+      if (!events.empty() && events.back().kind == e.kind &&
+          events.back().op == e.op)
+        continue;  // non-net shapes ignore the op
+      int next = 1;
+      visit_payload(e, [&next](auto& payload) {
+        for_each_field(payload, [&next](std::string_view, auto type,
+                                        auto& value) {
+          if constexpr (requires { decltype(type)::table; })
+            value = static_cast<std::uint8_t>(type.table.names.size() - 1);
+          else
+            value = static_cast<std::remove_reference_t<decltype(value)>>(
+                next++);
+        });
+      });
+      events.push_back(e);
+    }
+  return events;
+}
+
 TEST(RenderJsonl, AgreesWithLineParserForEveryKind) {
-  TraceEvent e;
-  e.kind = EventKind::kMigration;
-  e.round = 3;
-  e.migration = {7, 2, 4, 0.5, 125.0};
-  EXPECT_EQ(jsonl_round_trip(e).migration.energy_j, 125.0);
-
-  e.kind = EventKind::kActivity;
-  e.activity.pm = 7;
-  e.activity.awake = false;
-  e.activity.reason = "converged";
-  EXPECT_EQ(jsonl_round_trip(e).activity.reason, "converged");
-
-  e.kind = EventKind::kNet;
-  e.net.op = "send";
-  e.net.src = 1;
-  e.net.dst = 2;
-  e.net.msg = 9;
-  e.net.bytes = 80;
-  e.net.channel = "shuffle";
-  EXPECT_EQ(jsonl_round_trip(e).net.channel, "shuffle");
+  const std::vector<TraceEvent> events = one_event_per_shape();
+  EXPECT_EQ(events.size(), kEventKindCount - 1 + std::size(kNetOpNames));
+  for (const TraceEvent& e : events) {
+    std::string want, got, gtb;
+    render_jsonl(e, &want);
+    render_jsonl(jsonl_round_trip(e), &got);
+    EXPECT_EQ(got, want);
+    render_jsonl(gtb_round_trip(e), &gtb);
+    EXPECT_EQ(gtb, want);
+  }
 }
 
 TEST(GtbEncode, RejectsUnknownStringCodes) {
-  TraceEvent e;
-  e.kind = EventKind::kNet;
-  e.net.op = "teleport";
+  // A code with no name, or a net event with no op, cannot be encoded.
+  const TraceEvent unknown[] = {
+      TraceEvent(1, NetSend{0, 1, 9, 80, 42}),
+      TraceEvent(1, NetDrop{0, 1, 9, 0}),  // net::DropReason::kNone
+      TraceEvent(1, Activity{1, true, 99}),
+      TraceEvent(1, NetQueue{7, 0, 10}),
+  };
+  for (const TraceEvent& e : unknown) {
+    std::string bytes;
+    std::string error;
+    EXPECT_FALSE(append_gtb_record(e, &bytes, &error));
+    EXPECT_FALSE(error.empty());
+    // A failed encode must not leave a partial record behind.
+    EXPECT_TRUE(bytes.empty());
+  }
+  TraceEvent no_op(1, NetDeliver{0, 1, 9, 2});
+  no_op.op = NetOp::kNone;
   std::string bytes;
   std::string error;
-  EXPECT_FALSE(append_gtb_record(e, &bytes, &error));
+  EXPECT_FALSE(append_gtb_record(no_op, &bytes, &error));
+  EXPECT_TRUE(bytes.empty());
   EXPECT_FALSE(error.empty());
-  // A failed encode must not leave a partial record behind.
-  EXPECT_TRUE(bytes.empty());
-
-  e.net.op = "drop";
-  e.net.reason = "gremlins";
-  error.clear();
-  EXPECT_FALSE(append_gtb_record(e, &bytes, &error));
-  EXPECT_TRUE(bytes.empty());
 }
 
 TEST(GtbDecode, RejectsCorruptPayloads) {
@@ -278,26 +287,23 @@ TEST(GtbDecode, RejectsCorruptPayloads) {
 }
 
 TEST(NameCodeTables, RoundTripEveryPinnedName) {
-  std::int64_t code = -1;
-  for (std::int64_t c = 0; c <= 5; ++c) {
-    ASSERT_TRUE(net_channel_code(net_channel_name(c), &code));
-    EXPECT_EQ(code, c);
+  for (const NameTable* table : {&kEventKinds, &kNetOps, &kNetLinks,
+                                 &kChannels, &kDropReasons, &kWakeReasons}) {
+    for (std::size_t c = 0; c < table->names.size(); ++c) {
+      const std::string_view name = code_name(*table, c);
+      std::uint8_t code = 0;
+      if (name.empty()) {
+        EXPECT_EQ(table, &kDropReasons) << "only kNone has no name";
+        continue;
+      }
+      ASSERT_TRUE(code_of(*table, name, &code)) << name;
+      EXPECT_EQ(code, c) << name;
+    }
+    std::uint8_t code = 0;
+    EXPECT_FALSE(code_of(*table, "", &code)) << table->what;
+    EXPECT_FALSE(code_of(*table, "?", &code)) << table->what;
+    EXPECT_EQ(code_name(*table, table->names.size()), "") << table->what;
   }
-  for (std::int64_t c = 0; c <= 3; ++c) {
-    ASSERT_TRUE(net_op_code(net_op_name(c), &code));
-    EXPECT_EQ(code, c);
-  }
-  for (std::int64_t c = 0; c <= 1; ++c) {
-    ASSERT_TRUE(net_link_code(net_link_name(c), &code));
-    EXPECT_EQ(code, c);
-  }
-  for (std::int64_t c = 1; c <= 2; ++c) {
-    ASSERT_TRUE(net_drop_reason_code(net_drop_reason_name(c), &code));
-    EXPECT_EQ(code, c);
-  }
-  EXPECT_FALSE(net_op_code("teleport", &code));
-  EXPECT_FALSE(net_channel_code("?", &code));
-  EXPECT_FALSE(activity_reason_code("?", &code));
 }
 
 }  // namespace

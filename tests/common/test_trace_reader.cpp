@@ -1,6 +1,6 @@
 // trace_reader: every line TraceLog can emit parses back field-exact, and
 // malformed lines come back as errors, never crashes.
-#include "common/trace_reader.hpp"
+#include "trace_analysis/trace_reader.hpp"
 
 #include <gtest/gtest.h>
 
@@ -13,14 +13,14 @@
 namespace glap::trace {
 namespace {
 
-/// Renders one buffered event through TraceLog and parses it back.
-TraceEvent round_trip_buffered(Kind kind, std::int64_t a, std::int64_t b,
-                               std::int64_t c, std::int64_t d, double x,
-                               double y, std::uint64_t round) {
+/// Renders the one event `emit` buffers through TraceLog and parses it
+/// back.
+template <class Emit>
+TraceEvent round_trip_buffered(std::uint64_t round, Emit&& emit) {
   std::ostringstream out;
   TraceLog log(out);
   log.begin_round(round);
-  log.emit(kind, a, b, c, d, x, y);
+  emit(log);
   log.commit_round();
 
   TraceEvent event;
@@ -35,18 +35,20 @@ TraceEvent round_trip_buffered(Kind kind, std::int64_t a, std::int64_t b,
 TEST(EventKindNames, RoundTripAllKinds) {
   for (std::size_t k = 0; k < kEventKindCount; ++k) {
     const auto kind = static_cast<EventKind>(k);
-    EventKind back;
-    ASSERT_TRUE(event_kind_from_name(event_kind_name(kind), &back))
+    std::uint8_t back = 0;
+    ASSERT_TRUE(code_of(kEventKinds, event_kind_name(kind), &back))
         << event_kind_name(kind);
-    EXPECT_EQ(back, kind);
+    EXPECT_EQ(back, k);
   }
-  EventKind unused;
-  EXPECT_FALSE(event_kind_from_name("not_a_kind", &unused));
+  std::uint8_t unused = 0;
+  EXPECT_FALSE(code_of(kEventKinds, "not_a_kind", &unused));
+  EXPECT_FALSE(code_of(kEventKinds, "", &unused));
 }
 
 TEST(ParseTraceLine, MigrationFieldExact) {
-  const TraceEvent e = round_trip_buffered(Kind::kMigration, 7, 2, 4, 0,
-                                           0.6713679112345, 41.867145699, 3);
+  const TraceEvent e = round_trip_buffered(3, [](TraceLog& log) {
+    log.migration(7, 2, 4, 0.6713679112345, 41.867145699);
+  });
   ASSERT_EQ(e.kind, EventKind::kMigration);
   EXPECT_EQ(e.migration.vm, 7);
   EXPECT_EQ(e.migration.from, 2);
@@ -56,20 +58,21 @@ TEST(ParseTraceLine, MigrationFieldExact) {
 }
 
 TEST(ParseTraceLine, PowerFieldExact) {
-  const TraceEvent on = round_trip_buffered(Kind::kPower, 9, 1, 0, 0, 0, 0, 5);
+  const TraceEvent on =
+      round_trip_buffered(5, [](TraceLog& log) { log.power(9, true); });
   ASSERT_EQ(on.kind, EventKind::kPower);
   EXPECT_EQ(on.power.pm, 9);
   EXPECT_TRUE(on.power.on);
 
   const TraceEvent off =
-      round_trip_buffered(Kind::kPower, 11, 0, 0, 0, 0, 0, 5);
+      round_trip_buffered(5, [](TraceLog& log) { log.power(11, false); });
   EXPECT_EQ(off.power.pm, 11);
   EXPECT_FALSE(off.power.on);
 }
 
 TEST(ParseTraceLine, ShuffleFieldExact) {
   const TraceEvent e =
-      round_trip_buffered(Kind::kShuffle, 1, 2, 8, 7, 0, 0, 12);
+      round_trip_buffered(12, [](TraceLog& log) { log.shuffle(1, 2, 8, 7); });
   ASSERT_EQ(e.kind, EventKind::kShuffle);
   EXPECT_EQ(e.shuffle.initiator, 1);
   EXPECT_EQ(e.shuffle.peer, 2);
@@ -78,9 +81,16 @@ TEST(ParseTraceLine, ShuffleFieldExact) {
 }
 
 TEST(ParseTraceLine, OverloadFieldExact) {
-  const TraceEvent e =
-      round_trip_buffered(Kind::kOverload, 42, 0, 0, 0, 0.96875, 0, 12);
+  std::ostringstream out;
+  TraceLog log(out);
+  log.overload(12, 42, 0.96875);
+  TraceEvent e;
+  std::string error;
+  ASSERT_TRUE(parse_trace_line(out.str().substr(0, out.str().size() - 1), &e,
+                               &error))
+      << error;
   ASSERT_EQ(e.kind, EventKind::kOverload);
+  EXPECT_EQ(e.round, 12u);
   EXPECT_EQ(e.overload.pm, 42);
   EXPECT_EQ(e.overload.cpu, 0.96875);
 }
@@ -88,58 +98,58 @@ TEST(ParseTraceLine, OverloadFieldExact) {
 TEST(ParseTraceLine, FaultFieldExact) {
   // Reserved kind: no engine emit site yet, but the wire format is pinned.
   const TraceEvent e =
-      round_trip_buffered(Kind::kFault, 17, 3, 0, 0, 2.5, 0, 30);
+      round_trip_buffered(30, [](TraceLog& log) { log.fault(17, 3, 2.5); });
   ASSERT_EQ(e.kind, EventKind::kFault);
   EXPECT_EQ(e.fault.pm, 17);
-  EXPECT_EQ(e.fault.code, 3);
+  EXPECT_EQ(e.fault.kind, 3);
   EXPECT_EQ(e.fault.value, 2.5);
 }
 
 TEST(ParseTraceLine, ActivityFieldExact) {
-  const TraceEvent parked =
-      round_trip_buffered(Kind::kActivity, 4, 0, 0, 0, 0, 0, 9);
+  const TraceEvent parked = round_trip_buffered(
+      9, [](TraceLog& log) { log.activity(4, false, 0); });
   ASSERT_EQ(parked.kind, EventKind::kActivity);
   EXPECT_EQ(parked.activity.pm, 4);
   EXPECT_FALSE(parked.activity.awake);
-  EXPECT_EQ(parked.activity.reason, "converged");
+  EXPECT_EQ(code_name(kWakeReasons, parked.activity.reason), "converged");
 
-  const TraceEvent woke =
-      round_trip_buffered(Kind::kActivity, 4, 1, 2, 0, 0, 0, 9);
+  const TraceEvent woke = round_trip_buffered(
+      9, [](TraceLog& log) { log.activity(4, true, 2); });
   EXPECT_TRUE(woke.activity.awake);
-  EXPECT_EQ(woke.activity.reason, "demand");
+  EXPECT_EQ(code_name(kWakeReasons, woke.activity.reason), "demand");
 }
 
 TEST(ParseTraceLine, NetFieldExact) {
-  // op codes: 0 send, 1 deliver, anything else drop (reason in x).
-  const TraceEvent send =
-      round_trip_buffered(Kind::kNet, 0, 5, 37, 123, 256.0, 2.0, 14);
+  const TraceEvent send = round_trip_buffered(
+      14, [](TraceLog& log) { log.net_send(5, 37, 123, 256, 2); });
   ASSERT_EQ(send.kind, EventKind::kNet);
-  EXPECT_EQ(send.net.op, "send");
-  EXPECT_EQ(send.net.src, 5);
-  EXPECT_EQ(send.net.dst, 37);
-  EXPECT_EQ(send.net.msg, 123);
-  EXPECT_EQ(send.net.bytes, 256);
-  EXPECT_EQ(send.net.channel, "aggregation");
+  ASSERT_EQ(send.op, NetOp::kSend);
+  EXPECT_EQ(send.net_send.src, 5);
+  EXPECT_EQ(send.net_send.dst, 37);
+  EXPECT_EQ(send.net_send.msg, 123);
+  EXPECT_EQ(send.net_send.bytes, 256);
+  EXPECT_EQ(code_name(kChannels, send.net_send.channel), "aggregation");
 
-  const TraceEvent deliver =
-      round_trip_buffered(Kind::kNet, 1, 5, 37, 123, 3.0, 0.0, 17);
-  EXPECT_EQ(deliver.net.op, "deliver");
-  EXPECT_EQ(deliver.net.msg, 123);
-  EXPECT_EQ(deliver.net.delay, 3);
+  const TraceEvent deliver = round_trip_buffered(
+      17, [](TraceLog& log) { log.net_deliver(5, 37, 123, 3); });
+  ASSERT_EQ(deliver.op, NetOp::kDeliver);
+  EXPECT_EQ(deliver.net_deliver.msg, 123);
+  EXPECT_EQ(deliver.net_deliver.delay, 3);
 
-  const TraceEvent loss =
-      round_trip_buffered(Kind::kNet, 2, 5, 37, 124, 1.0, 0.0, 14);
-  EXPECT_EQ(loss.net.op, "drop");
-  EXPECT_EQ(loss.net.reason, "loss");
-  const TraceEvent congestion =
-      round_trip_buffered(Kind::kNet, 2, 5, 37, 125, 2.0, 0.0, 14);
-  EXPECT_EQ(congestion.net.reason, "congestion");
+  const TraceEvent loss = round_trip_buffered(
+      14, [](TraceLog& log) { log.net_drop(5, 37, 124, 1); });
+  ASSERT_EQ(loss.op, NetOp::kDrop);
+  EXPECT_EQ(code_name(kDropReasons, loss.net_drop.reason), "loss");
+  const TraceEvent congestion = round_trip_buffered(
+      14, [](TraceLog& log) { log.net_drop(5, 37, 125, 2); });
+  EXPECT_EQ(code_name(kDropReasons, congestion.net_drop.reason),
+            "congestion");
 }
 
 TEST(ParseTraceLine, NetQueueDirectLineFieldExact) {
   std::ostringstream out;
   TraceLog log(out);
-  log.net_queue(21, "uplink", 3, 65536);
+  log.net_queue(21, NetLink::kUplink, 3, 65536);
 
   TraceEvent e;
   std::string error;
@@ -147,10 +157,10 @@ TEST(ParseTraceLine, NetQueueDirectLineFieldExact) {
   ASSERT_TRUE(parse_trace_line(line, &e, &error)) << line << ": " << error;
   ASSERT_EQ(e.kind, EventKind::kNet);
   EXPECT_EQ(e.round, 21u);
-  EXPECT_EQ(e.net.op, "queue");
-  EXPECT_EQ(e.net.link, "uplink");
-  EXPECT_EQ(e.net.link_id, 3);
-  EXPECT_EQ(e.net.bytes, 65536);
+  ASSERT_EQ(e.op, NetOp::kQueue);
+  EXPECT_EQ(e.net_queue.link, static_cast<std::uint8_t>(NetLink::kUplink));
+  EXPECT_EQ(e.net_queue.id, 3);
+  EXPECT_EQ(e.net_queue.bytes, 65536);
 }
 
 TEST(ParseTraceLine, UnknownNetOpIsAnError) {
@@ -160,6 +170,92 @@ TEST(ParseTraceLine, UnknownNetOpIsAnError) {
       R"({"ev":"net","round":1,"op":"teleport","src":0,"dst":1,"msg":9})", &e,
       &error));
   EXPECT_NE(error.find("net op"), std::string::npos) << error;
+}
+
+/// Expects `line` to be rejected with a diagnostic naming `field`.
+void expect_name_rejected(const char* line, const char* field) {
+  TraceEvent e;
+  std::string error;
+  EXPECT_FALSE(parse_trace_line(line, &e, &error)) << line;
+  EXPECT_NE(error.find(std::string("field '") + field + "'"),
+            std::string::npos)
+      << line << ": " << error;
+}
+
+// Every name travels as a code, so a name the schema's table does not
+// list — the empty name included — fails at parse time, exactly as the
+// GTB encoder would fail on it.
+TEST(ParseTraceLine, EmptyNetOpIsAnError) {
+  expect_name_rejected(R"({"ev":"net","round":1,"op":""})", "op");
+}
+
+TEST(ParseTraceLine, UnknownNetChannelIsAnError) {
+  expect_name_rejected(
+      R"({"ev":"net","round":1,"op":"send","src":0,"dst":1,"msg":9,)"
+      R"("bytes":80,"channel":"bogus"})",
+      "channel");
+  expect_name_rejected(
+      R"({"ev":"net","round":1,"op":"send","src":0,"dst":1,"msg":9,)"
+      R"("bytes":80,"channel":""})",
+      "channel");
+}
+
+TEST(ParseTraceLine, UnknownDropReasonIsAnError) {
+  // A drop requires a lossy or congested link.
+  expect_name_rejected(
+      R"({"ev":"net","round":1,"op":"drop","src":0,"dst":1,"msg":9,)"
+      R"("reason":"gremlins"})",
+      "reason");
+  // Code 0 (net::DropReason::kNone) has no wire name.
+  expect_name_rejected(
+      R"({"ev":"net","round":1,"op":"drop","src":0,"dst":1,"msg":9,)"
+      R"("reason":""})",
+      "reason");
+}
+
+TEST(ParseTraceLine, UnknownNetLinkIsAnError) {
+  expect_name_rejected(
+      R"({"ev":"net","round":1,"op":"queue","link":"warp-conduit","id":0,)"
+      R"("bytes":10})",
+      "link");
+}
+
+TEST(ParseTraceLine, UnknownActivityReasonIsAnError) {
+  expect_name_rejected(
+      R"({"ev":"activity","round":3,"pm":1,"awake":false,)"
+      R"("reason":"cosmic-rays"})",
+      "reason");
+}
+
+TEST(GtbDecode, RejectsCodesWithNoName) {
+  const auto decode_with = [](const TraceEvent& valid, std::size_t at,
+                              std::uint8_t code) {
+    std::string bytes;
+    EXPECT_TRUE(append_gtb_record(valid, &bytes, nullptr));
+    std::string payload = bytes.substr(4);
+    payload[at] = static_cast<char>(code);
+    TraceEvent out;
+    std::string error;
+    EXPECT_FALSE(decode_gtb_payload(payload, &out, &error)) << int{code};
+    return error;
+  };
+  // Payload offsets: kind 0, round 1-8, then the fields from 9 — or, for
+  // net, the op at 9 and the fields from 10.
+  EXPECT_NE(decode_with(TraceEvent(1, NetDrop{0, 1, 9, 1}), 10 + 24, 0)
+                .find("net drop reason"),
+            std::string::npos);
+  EXPECT_NE(decode_with(TraceEvent(1, NetSend{0, 1, 9, 80, 0}), 10 + 32, 6)
+                .find("net channel"),
+            std::string::npos);
+  EXPECT_NE(decode_with(TraceEvent(1, NetQueue{0, 3, 10}), 10, 2)
+                .find("net link"),
+            std::string::npos);
+  EXPECT_NE(decode_with(TraceEvent(1, NetQueue{0, 3, 10}), 9, 4)
+                .find("net op"),
+            std::string::npos);
+  EXPECT_NE(decode_with(TraceEvent(1, Activity{1, true, 1}), 9 + 9, 8)
+                .find("activity reason"),
+            std::string::npos);
 }
 
 TEST(ParseTraceLine, DriverDirectLinesFieldExact) {
@@ -208,9 +304,10 @@ TEST(ParseTraceLine, ExtremeNumbersSurviveTheRoundTrip) {
   const double values[] = {1.0 / 3.0, 1e-300, 1.7976931348623157e308,
                            123456789.123456789};
   for (double v : values) {
-    const TraceEvent e =
-        round_trip_buffered(Kind::kOverload, 1, 0, 0, 0, v, 0, 1);
-    EXPECT_EQ(e.overload.cpu, v);
+    const TraceEvent e = round_trip_buffered(
+        1, [v](TraceLog& log) { log.migration(1, 2, 3, v, v); });
+    EXPECT_EQ(e.migration.cpu, v);
+    EXPECT_EQ(e.migration.energy_j, v);
   }
 }
 
@@ -274,14 +371,9 @@ TEST(TraceReader, SkipsBlankLinesAndReportsLineNumbers) {
 std::string small_gtb_stream() {
   std::string bytes;
   append_gtb_header(&bytes);
-  TraceEvent e;
-  e.kind = EventKind::kRelearn;
-  e.round = 1;
-  EXPECT_TRUE(append_gtb_record(e, &bytes, nullptr));
-  e.kind = EventKind::kPower;
-  e.round = 2;
-  e.power = {9, true};
-  EXPECT_TRUE(append_gtb_record(e, &bytes, nullptr));
+  EXPECT_TRUE(append_gtb_record(TraceEvent(1, Relearn{}), &bytes, nullptr));
+  EXPECT_TRUE(
+      append_gtb_record(TraceEvent(2, Power{9, true}), &bytes, nullptr));
   return bytes;
 }
 

@@ -5,46 +5,63 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
 #include "common/trace_format.hpp"
 #include "sim/node.hpp"
+#include "trace_analysis/trace_reader.hpp"
 
 namespace glap::trace {
 namespace {
 
 TEST(KindName, NamesAllKinds) {
-  EXPECT_STREQ(kind_name(Kind::kMigration), "migration");
-  EXPECT_STREQ(kind_name(Kind::kPower), "power");
-  EXPECT_STREQ(kind_name(Kind::kShuffle), "shuffle");
-  EXPECT_STREQ(kind_name(Kind::kOverload), "overload");
-  EXPECT_STREQ(kind_name(Kind::kFault), "fault");
-  EXPECT_STREQ(kind_name(Kind::kActivity), "activity");
+  EXPECT_EQ(event_kind_name(EventKind::kMigration), "migration");
+  EXPECT_EQ(event_kind_name(EventKind::kPower), "power");
+  EXPECT_EQ(event_kind_name(EventKind::kShuffle), "shuffle");
+  EXPECT_EQ(event_kind_name(EventKind::kOverload), "overload");
+  EXPECT_EQ(event_kind_name(EventKind::kFault), "fault");
+  EXPECT_EQ(event_kind_name(EventKind::kActivity), "activity");
+  EXPECT_EQ(event_kind_name(EventKind::kNet), "net");
+  EXPECT_EQ(event_kind_name(EventKind::kRound), "round");
+  EXPECT_EQ(event_kind_name(EventKind::kQsim), "qsim");
+  EXPECT_EQ(event_kind_name(EventKind::kRelearn), "relearn");
+  EXPECT_EQ(kEventKindCount, 10u);
 }
 
 // The activity reason codes are the numeric values of sim::WakeReason
-// (the engine emits `static_cast<int64_t>(reason)`), so the two name
-// tables must agree code for code.
+// (the engine emits `static_cast<uint8_t>(reason)`), so the schema's
+// name table must list them in declaration order.
 TEST(ActivityReasonNames, PinnedToWakeReasonCodes) {
-  for (std::int64_t code = 0; code <= 7; ++code)
-    EXPECT_STREQ(activity_reason_name(code),
-                 to_string(static_cast<sim::WakeReason>(code)))
-        << "code " << code;
-  EXPECT_STREQ(activity_reason_name(8), "?");
-  EXPECT_STREQ(activity_reason_name(-1), "?");
+  const std::pair<sim::WakeReason, std::string_view> pinned[] = {
+      {sim::WakeReason::kConverged, "converged"},
+      {sim::WakeReason::kGossip, "gossip"},
+      {sim::WakeReason::kDemand, "demand"},
+      {sim::WakeReason::kMigration, "migration"},
+      {sim::WakeReason::kStatus, "status"},
+      {sim::WakeReason::kSchedule, "schedule"},
+      {sim::WakeReason::kRelearn, "relearn"},
+      {sim::WakeReason::kNetwork, "network"},
+  };
+  for (const auto& [reason, name] : pinned)
+    EXPECT_EQ(code_name(kWakeReasons, static_cast<std::uint8_t>(reason)),
+              name);
+  EXPECT_EQ(std::size(kWakeReasonNames), std::size(pinned));
+  EXPECT_EQ(code_name(kWakeReasons, 8), "");
 }
 
 TEST(TraceLog, RendersActivityKind) {
   std::ostringstream out;
   TraceLog log(out);
   log.begin_round(12);
-  log.emit(Kind::kActivity, 7, /*awake=*/0,
-           static_cast<std::int64_t>(sim::WakeReason::kConverged));
-  log.emit(Kind::kActivity, 7, /*awake=*/1,
-           static_cast<std::int64_t>(sim::WakeReason::kDemand));
+  log.activity(7, /*awake=*/false,
+               static_cast<std::uint8_t>(sim::WakeReason::kConverged));
+  log.activity(7, /*awake=*/true,
+               static_cast<std::uint8_t>(sim::WakeReason::kDemand));
   log.commit_round();
   EXPECT_EQ(out.str(),
             "{\"ev\":\"activity\",\"round\":12,\"pm\":7,\"awake\":false,"
@@ -59,7 +76,7 @@ TEST(TraceLog, RendersReservedFaultKind) {
   std::ostringstream out;
   TraceLog log(out);
   log.begin_round(30);
-  log.emit(Kind::kFault, 17, 3, 0, 0, 2.5);
+  log.fault(17, 3, 2.5);
   log.commit_round();
   EXPECT_EQ(out.str(),
             "{\"ev\":\"fault\",\"round\":30,\"pm\":17,\"kind\":3,"
@@ -70,9 +87,9 @@ TEST(TraceLog, RendersBufferedEventsInEmitOrder) {
   std::ostringstream out;
   TraceLog log(out);
   log.begin_round(2);
-  log.emit(Kind::kMigration, 7, 2, 4, 0, 0.5, 125.0);
-  log.emit(Kind::kPower, 9, 1);
-  log.emit(Kind::kPower, 9, 0);
+  log.migration(7, 2, 4, 0.5, 125.0);
+  log.power(9, true);
+  log.power(9, false);
   // Buffered events take the round current at commit time.
   log.begin_round(3);
   log.commit_round();
@@ -88,7 +105,7 @@ TEST(TraceLog, CommitClearsBuffersBetweenRounds) {
   std::ostringstream out;
   TraceLog log(out);
   log.begin_round(1);
-  log.emit(Kind::kShuffle, 1, 2, 3, 4);
+  log.shuffle(1, 2, 3, 4);
   log.commit_round();
   log.begin_round(2);
   log.commit_round();  // nothing new: no extra output
@@ -129,20 +146,20 @@ TEST(TraceLogGtb, EncodesTheSameEventsAsJsonl) {
   // written through both formats; the decoded event streams must agree
   // field for field.
   const auto write_all = [](TraceLog* log) {
-      log->begin_round(4);
-    log->emit(Kind::kMigration, 7, 2, 4, 0, 0.5, 125.0);
-    log->emit(Kind::kPower, 9, 1);
-    log->emit(Kind::kShuffle, 1, 2, 3, 4);
-    log->emit(Kind::kActivity, 7, 0,
-              static_cast<std::int64_t>(sim::WakeReason::kConverged));
-    log->emit(Kind::kNet, 0, 3, 8, 101, 512.0, 1.0);   // send
-    log->emit(Kind::kNet, 1, 3, 8, 101, 2.0);          // deliver
+    log->begin_round(4);
+    log->migration(7, 2, 4, 0.5, 125.0);
+    log->power(9, true);
+    log->shuffle(1, 2, 3, 4);
+    log->activity(7, false,
+                  static_cast<std::uint8_t>(sim::WakeReason::kConverged));
+    log->net_send(3, 8, 101, 512, 1);
+    log->net_deliver(3, 8, 101, 2);
     log->commit_round();
     log->round_summary(4, 100, 3, 7, 450, 9000);
     log->qsim(4, 0.875);
     log->overload(4, 42, 0.96875);
     log->relearn(5);
-    log->net_queue(5, "uplink", 3, 65536);
+    log->net_queue(5, NetLink::kUplink, 3, 65536);
   };
 
   std::ostringstream jsonl_out, gtb_out;
@@ -190,9 +207,9 @@ std::string sampled_trace(const SamplingPolicy& sampling, int count,
   log.begin_round(1);
   for (int i = 0; i < count; ++i) {
     const int id = reverse_order ? count - 1 - i : i;
-    log.emit(Kind::kShuffle, id, id + 1, 3, 3);
-    log.emit(Kind::kNet, 0, id, id + 1, id, 80.0, 0.0);  // send
-    log.emit(Kind::kNet, 1, id, id + 1, id, 0.0);        // deliver
+    log.shuffle(id, id + 1, 3, 3);
+    log.net_send(id, id + 1, id, 80, 0);
+    log.net_deliver(id, id + 1, id, 0);
   }
   log.commit_round();
   log.round_summary(1, 8, 0, 0, 0, 0);

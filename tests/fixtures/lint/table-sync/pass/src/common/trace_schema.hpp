@@ -1,0 +1,4 @@
+// Name table: one wire name per WakeReason enumerator.
+#pragma once
+#include <string_view>
+inline constexpr std::string_view kWakeReasonNames[] = {"alpha", "beta"};

@@ -18,10 +18,11 @@
 #include <utility>
 
 #include "common/metrics.hpp"
-#include "common/trace_check.hpp"
 #include "common/trace_format.hpp"
 #include "harness/runner.hpp"
 #include "support/golden.hpp"
+#include "trace_analysis/trace_check.hpp"
+#include "trace_analysis/trace_reader.hpp"
 
 namespace glap::harness {
 namespace {

@@ -8,9 +8,9 @@
 #include <string>
 #include <vector>
 
-#include "common/trace_check.hpp"
-#include "common/trace_reader.hpp"
 #include "harness/runner.hpp"
+#include "trace_analysis/trace_check.hpp"
+#include "trace_analysis/trace_reader.hpp"
 
 namespace glap::harness {
 namespace {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <sstream>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.hpp"
@@ -245,6 +248,35 @@ TEST(NetworkModelTrace, EmitsSendDeliverDropAndQueueEvents) {
   EXPECT_NE(text.find("\"op\":\"queue\",\"link\":\"access\",\"id\":0"),
             std::string::npos);
   EXPECT_NE(text.find("\"link\":\"uplink\""), std::string::npos);
+}
+
+// Trace events carry the enum values as codes; the schema's name tables
+// must list the names in declaration order (table-sync only checks that
+// each name is present).
+TEST(NetworkModelTrace, ChannelAndDropReasonCodesNameTheSchemaEntries) {
+  const std::pair<Channel, std::string_view> channels[] = {
+      {Channel::kShuffle, "shuffle"},
+      {Channel::kLearning, "learning"},
+      {Channel::kAggregation, "aggregation"},
+      {Channel::kConsolidation, "consolidation"},
+      {Channel::kProbe, "probe"},
+      {Channel::kMigration, "migration"},
+  };
+  for (const auto& [channel, name] : channels)
+    EXPECT_EQ(trace::code_name(trace::kChannels,
+                               static_cast<std::uint8_t>(channel)),
+              name);
+  EXPECT_EQ(std::size(trace::kChannelNames), std::size(channels));
+  EXPECT_EQ(trace::code_name(trace::kDropReasons,
+                             static_cast<std::uint8_t>(DropReason::kNone)),
+            "");
+  EXPECT_EQ(trace::code_name(trace::kDropReasons,
+                             static_cast<std::uint8_t>(DropReason::kLoss)),
+            "loss");
+  EXPECT_EQ(trace::code_name(
+                trace::kDropReasons,
+                static_cast<std::uint8_t>(DropReason::kCongestion)),
+            "congestion");
 }
 
 }  // namespace

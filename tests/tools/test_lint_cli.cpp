@@ -12,7 +12,7 @@
 #include <sys/wait.h>
 #include <vector>
 
-#include "common/trace_reader.hpp"
+#include "common/trace_schema.hpp"
 #include "lint/lint.hpp"
 
 namespace {
@@ -110,8 +110,10 @@ TEST(LintCli, TraceKindsMatchTheTraceReaderEnum) {
   for (std::size_t i = 0; i < glap::trace::kEventKindCount; ++i) {
     EXPECT_EQ(listed[i], glap::trace::event_kind_name(
                              static_cast<glap::trace::EventKind>(i)));
-    glap::trace::EventKind kind;
-    EXPECT_TRUE(glap::trace::event_kind_from_name(listed[i], &kind));
+    std::uint8_t code = 0;
+    EXPECT_TRUE(glap::trace::code_of(glap::trace::kEventKinds, listed[i],
+                                     &code));
+    EXPECT_EQ(code, i);
   }
   // And the in-process list the rule consults is the same list.
   ASSERT_EQ(glap::lint::trace_event_kinds().size(),

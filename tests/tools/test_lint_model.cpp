@@ -146,11 +146,10 @@ TEST(ProjectRules, TableSyncFindingNamesEveryMissingTable) {
   const TreeReport report = lint_project(tree.files, tree.layers);
   ASSERT_EQ(report.findings.size(), 1u);
   const Finding& f = report.findings[0];
-  EXPECT_EQ(f.file, "src/common/trace_reader.hpp");
+  EXPECT_EQ(f.file, "src/sim/node.hpp");
   EXPECT_NE(f.message.find("kGamma"), std::string::npos);
-  EXPECT_NE(f.message.find("trace_reader.cpp"), std::string::npos);
-  EXPECT_NE(f.message.find("trace_format.cpp"), std::string::npos);
-  EXPECT_NE(f.message.find("tracing.cpp"), std::string::npos);
+  EXPECT_NE(f.message.find("\"gamma\""), std::string::npos);
+  EXPECT_NE(f.message.find("src/common/trace_schema.hpp"), std::string::npos);
 }
 
 // ---- summarize_source ---------------------------------------------------

@@ -1,8 +1,10 @@
 // glap-trace: analysis CLI over the round-level trace in either encoding
 // — JSONL (DESIGN.md §10.2) or the GTB binary format (§10.6); the reader
-// auto-detects which one a file carries. The parsing and analysis logic
-// lives in src/common (trace_reader, trace_format, trace_check); this
-// binary is argument handling and report formatting.
+// auto-detects which one a file carries. The line shapes are declared
+// once in src/common/trace_schema.hpp; the parsing and analysis logic
+// lives in tools/trace_analysis (trace_reader, trace_check) and the
+// encoders in src/common/trace_format; this binary is argument handling
+// and report formatting.
 //
 //   glap-trace lineage  <trace> [--vm ID] [--pm ID] [--top N]
 //   glap-trace episodes <trace> [--pm ID] [--min-rounds N]
@@ -32,11 +34,11 @@
 #include <vector>
 
 #include "common/stats.hpp"
-#include "common/trace_check.hpp"
 #include "common/trace_format.hpp"
-#include "common/trace_reader.hpp"
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
+#include "trace_analysis/trace_check.hpp"
+#include "trace_analysis/trace_reader.hpp"
 
 namespace {
 
@@ -325,7 +327,7 @@ int cmd_stats(const Args& args) {
   std::vector<std::vector<std::string>> count_rows;
   for (std::size_t k = 0; k < trace::kEventKindCount; ++k)
     count_rows.push_back(
-        {trace::event_kind_name(static_cast<trace::EventKind>(k)),
+        {std::string(trace::event_kind_name(static_cast<trace::EventKind>(k))),
          std::to_string(stats.counts[k])});
 
   const std::vector<std::pair<const char*, const std::vector<double>*>>

@@ -5,9 +5,11 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 
+#include "common/trace_schema.hpp"
 #include "lint/model.hpp"
 #include "lint/token.hpp"
 
@@ -45,9 +47,9 @@ constexpr RuleInfo kRules[] = {
      "no float in Q-table kernels (src/qlearn, src/core/qtable_pair) — "
      "the learning state is double end to end"},
     {"table-sync", "safety",
-     "every enumerator of the pinned enums (trace::EventKind, trace::Kind, "
-     "WakeReason, net::Channel, net::DropReason) must appear in the "
-     "renderer/parser/code tables that serialize it"},
+     "every enumerator of the enums the trace carries as codes "
+     "(sim::WakeReason, net::Channel, net::DropReason) must have its name "
+     "in the trace schema's name tables"},
     {"hot-alloc", "perf",
      "no per-round heap allocation in round-loop scopes of src/sim and "
      "src/core: new/make_unique/make_shared, or push_back/emplace_back on "
@@ -379,6 +381,9 @@ void rule_trace_kind(Analysis& a) {
   auto known = [&](const std::string& name) {
     return std::find(kinds.begin(), kinds.end(), name) != kinds.end();
   };
+  std::string known_list;
+  for (const std::string& kind : kinds)
+    known_list += (known_list.empty() ? "" : ", ") + kind;
   for (const Token& tok : a.toks) {
     if (tok.kind != Token::Kind::kString) continue;
     const std::string& s = tok.text;
@@ -394,10 +399,8 @@ void rule_trace_kind(Analysis& a) {
         const std::string name = s.substr(pos, end - pos);
         if (!name.empty() && !known(name))
           a.flag(tok.line, "trace-kind",
-                 "\"ev\":\"" + name + "\" is not a trace::EventKind (known: "
-                 "migration, power, shuffle, overload, fault, activity, net, "
-                 "round, qsim, relearn) — traces written here "
-                 "would not parse");
+                 "\"ev\":\"" + name + "\" is not a trace::EventKind (known: " +
+                     known_list + ") — traces written here would not parse");
       }
     }
   }
@@ -917,9 +920,8 @@ bool is_project_rule(std::string_view name) {
 }
 
 const std::vector<std::string>& trace_event_kinds() {
-  static const std::vector<std::string> kKinds = {
-      "migration", "power", "shuffle", "overload", "fault",
-      "activity",  "net",   "round",   "qsim",     "relearn"};
+  static const std::vector<std::string> kKinds(
+      std::begin(trace::kEventKindNames), std::end(trace::kEventKindNames));
   return kKinds;
 }
 

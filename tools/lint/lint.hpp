@@ -71,9 +71,8 @@ bool is_known_rule(std::string_view name);
 /// at the tree level, not inside lint_source.
 bool is_project_rule(std::string_view name);
 
-/// The trace-event names the `trace-kind` rule accepts in "ev" literals.
-/// Must track trace::EventKind; tests/tools/test_lint_cli.cpp pins the
-/// two lists against each other so the sets cannot drift.
+/// The trace-event names the `trace-kind` rule accepts in "ev" literals:
+/// trace::kEventKindNames from the trace schema, in kind-code order.
 const std::vector<std::string>& trace_event_kinds();
 
 /// Result of linting one file.

@@ -535,36 +535,23 @@ LayersSpec parse_layers(std::string_view text) {
   return spec;
 }
 
-/// Registered pinned enums: any new enumerator must land in every listed
-/// table file before lint passes. kIdent matches the enumerator token
-/// itself (switch cases / static_asserts); kName matches the derived
-/// snake_case name as a standalone string literal (name/code tables).
+/// Registered enums whose values travel as trace codes: the derived
+/// snake_case name of every enumerator must appear as a standalone string
+/// literal in each listed name-table file before lint passes.
 struct EnumTableSpec {
   const char* decl_file;
   const char* enum_name;
-  bool match_ident;
   std::vector<const char*> table_files;
   std::vector<const char*> skip;  ///< enumerators exempt (e.g. sentinels)
 };
 
 const std::vector<EnumTableSpec>& enum_table_specs() {
   static const std::vector<EnumTableSpec> kSpecs = {
-      {"src/common/trace_reader.hpp", "EventKind", true,
-       {"src/common/trace_reader.cpp", "src/common/trace_format.cpp",
-        "src/common/tracing.cpp"},
-       {}},
-      {"src/common/tracing.hpp", "Kind", true,
-       {"src/common/tracing.cpp"},
-       {}},
-      {"src/sim/node.hpp", "WakeReason", false,
-       {"src/sim/node.hpp", "src/common/tracing.cpp"},
-       {}},
-      {"src/net/network_model.hpp", "Channel", false,
-       {"src/net/network_model.cpp", "src/common/trace_format.cpp"},
-       {}},
-      {"src/net/network_model.hpp", "DropReason", false,
-       {"src/net/network_model.cpp", "src/common/trace_format.cpp"},
-       {"kNone"}},
+      {"src/sim/node.hpp", "WakeReason", {"src/common/trace_schema.hpp"}, {}},
+      {"src/net/network_model.hpp", "Channel",
+       {"src/common/trace_schema.hpp"}, {}},
+      {"src/net/network_model.hpp", "DropReason",
+       {"src/common/trace_schema.hpp"}, {"kNone"}},
   };
   return kSpecs;
 }
@@ -816,13 +803,9 @@ ProjectModel analyze_project(const std::vector<FileSummary>& files,
           continue;
         }
         const FileSummary& t = *it->second;
-        const bool hit =
-            spec.match_ident
-                ? std::binary_search(t.referenced.begin(), t.referenced.end(),
-                                     enumerator)
-                : std::binary_search(t.name_strings.begin(),
-                                     t.name_strings.end(), snake);
-        if (!hit) missing.push_back(table);
+        if (!std::binary_search(t.name_strings.begin(), t.name_strings.end(),
+                                snake))
+          missing.push_back(table);
       }
       if (missing.empty()) continue;
       std::string where = missing[0];
@@ -830,12 +813,10 @@ ProjectModel analyze_project(const std::vector<FileSummary>& files,
         where += ", " + missing[i];
       pm.findings.push_back(
           {spec.decl_file, decl->line, "table-sync",
-           std::string(spec.enum_name) + "::" + enumerator +
-               (spec.match_ident ? " never appears in "
-                                 : " (\"" + snake + "\") has no table entry "
-                                   "in ") +
-               where + " — a new enumerator must land in every pinned "
-               "renderer/parser table before it can ship"});
+           std::string(spec.enum_name) + "::" + enumerator + " (\"" + snake +
+               "\") has no table entry in " + where +
+               " — a new enumerator must land in the trace schema's name "
+               "table before it can ship"});
     }
   }
 

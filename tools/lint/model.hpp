@@ -14,9 +14,9 @@
 //                    convention, call a
 //                    mutating method of their own class, or draw from the
 //                    member RNG (src/sim/protocol.hpp states the contract)
-//   table-sync       every enumerator of a registered pinned enum must
-//                    appear in the renderer/parser/code tables that
-//                    serialize it (trace_format.cpp, tracing.cpp, ...)
+//   table-sync       every enumerator of a registered enum the trace
+//                    carries as a code must have its name in the trace
+//                    schema's name tables (common/trace_schema.hpp)
 //   include-hygiene  quoted project includes must provide at least one
 //                    name the includer references (transitively), and
 //                    project headers must carry #pragma once

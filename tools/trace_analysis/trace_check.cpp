@@ -1,4 +1,4 @@
-#include "common/trace_check.hpp"
+#include "trace_analysis/trace_check.hpp"
 
 #include <algorithm>
 #include <sstream>
@@ -260,85 +260,66 @@ void InvariantChecker::add(const TraceEvent& e, std::size_t line) {
     }
     case EventKind::kFault:
       break;  // semantics land with the fault-injection harness
-    case EventKind::kNet: {
-      const auto& n = e.net;
-      if (n.op == "send") {
-        if (!net_msgs_.emplace(n.msg, NetMsg{e.round, false}).second) {
+    case EventKind::kNet:
+      if (e.op == NetOp::kSend) {
+        const std::int64_t id = e.net_send.msg;
+        if (!net_msgs_.emplace(id, NetMsg{e.round, false}).second) {
           std::ostringstream msg;
-          msg << "msg " << n.msg << " sent twice";
+          msg << "msg " << id << " sent twice";
           report(line, e.round, "net-deliver-unsent", msg.str());
         }
-      } else if (n.op == "deliver" || n.op == "drop") {
-        const auto it = net_msgs_.find(n.msg);
+      } else if (e.op == NetOp::kDeliver || e.op == NetOp::kDrop) {
+        const bool deliver = e.op == NetOp::kDeliver;
+        const char* op = deliver ? "deliver" : "drop";
+        const std::int64_t id = deliver ? e.net_deliver.msg : e.net_drop.msg;
+        const auto it = net_msgs_.find(id);
         if (it == net_msgs_.end()) {
           std::ostringstream msg;
-          msg << "net " << n.op << " for msg " << n.msg
-              << " which was never sent";
+          msg << "net " << op << " for msg " << id << " which was never sent";
           report(line, e.round, "net-deliver-unsent", msg.str());
         } else {
           if (it->second.terminal) {
             std::ostringstream msg;
-            msg << "msg " << n.msg << " already delivered or dropped before "
-                << "this " << n.op;
+            msg << "msg " << id << " already delivered or dropped before "
+                << "this " << op;
             report(line, e.round, "net-terminal-duplicate", msg.str());
           }
           it->second.terminal = true;
-          if (n.op == "deliver" &&
+          if (deliver &&
               e.round != it->second.send_round +
-                             static_cast<std::uint64_t>(n.delay)) {
+                             static_cast<std::uint64_t>(e.net_deliver.delay)) {
             std::ostringstream msg;
-            msg << "msg " << n.msg << " sent in round " << it->second.send_round
-                << " with delay " << n.delay << " but delivered in round "
-                << e.round;
+            msg << "msg " << id << " sent in round " << it->second.send_round
+                << " with delay " << e.net_deliver.delay
+                << " but delivered in round " << e.round;
             report(line, e.round, "net-delay-arithmetic", msg.str());
           }
-          if (n.op == "drop" && e.round != it->second.send_round) {
+          if (!deliver && e.round != it->second.send_round) {
             std::ostringstream msg;
-            msg << "msg " << n.msg << " sent in round " << it->second.send_round
+            msg << "msg " << id << " sent in round " << it->second.send_round
                 << " but dropped in round " << e.round
                 << " (drops are decided at send time)";
             report(line, e.round, "net-delay-arithmetic", msg.str());
           }
         }
-        if (n.op == "drop" && n.reason != "loss" && n.reason != "congestion") {
-          std::ostringstream msg;
-          msg << "msg " << n.msg << " dropped with unknown reason '"
-              << n.reason << "' (a drop requires a lossy or congested link)";
-          report(line, e.round, "net-drop-reason", msg.str());
-        }
-      } else if (n.op == "queue") {
-        if (n.link != "access" && n.link != "uplink") {
-          std::ostringstream msg;
-          msg << "net queue line names unknown link kind '" << n.link << "'";
-          report(line, e.round, "net-drop-reason", msg.str());
-        }
-        if (n.bytes == 0) {
-          // The writer skips idle links entirely (DESIGN.md §13.6), so a
-          // zero-backlog line means the emitter regressed; readers must
-          // instead tolerate per-round gaps in queue coverage.
-          std::ostringstream msg;
-          msg << "net queue line for " << n.link << ' ' << n.link_id
-              << " reports zero backlog (idle links are skipped, not "
-                 "emitted)";
-          report(line, e.round, "net-queue-zero", msg.str());
-        }
+      } else if (e.op == NetOp::kQueue && e.net_queue.bytes == 0) {
+        // The writer skips idle links entirely (DESIGN.md §13.6), so a
+        // zero-backlog line means the emitter regressed; readers must
+        // instead tolerate per-round gaps in queue coverage.
+        std::ostringstream msg;
+        msg << "net queue line for " << code_name(kNetLinks, e.net_queue.link)
+            << ' ' << e.net_queue.id
+            << " reports zero backlog (idle links are skipped, not emitted)";
+        report(line, e.round, "net-queue-zero", msg.str());
       }
       break;
-    }
     case EventKind::kActivity: {
       const auto& a = e.activity;
-      static const std::set<std::string> kKnownReasons{
-          "converged", "gossip",   "demand",  "migration",
-          "status",    "schedule", "relearn", "network"};
-      if (kKnownReasons.count(a.reason) == 0) {
-        std::ostringstream msg;
-        msg << "pm " << a.pm << " activity event has unknown reason '"
-            << a.reason << "'";
-        report(line, e.round, "activity-reason", msg.str());
-      } else if (a.awake == (a.reason == "converged")) {
+      const std::string_view reason = code_name(kWakeReasons, a.reason);
+      if (a.awake == (reason == "converged")) {
         std::ostringstream msg;
         msg << "pm " << a.pm << (a.awake ? " woke" : " parked")
-            << " with reason '" << a.reason
+            << " with reason '" << reason
             << "' (parking must be 'converged', wakes must not)";
         report(line, e.round, "activity-reason", msg.str());
       }
@@ -438,10 +419,11 @@ void StatsCollector::add(const TraceEvent& e) {
       stats_.overload_cpu.push_back(e.overload.cpu);
       break;
     case EventKind::kNet:
-      if (e.net.op == "send")
-        stats_.net_send_bytes.push_back(static_cast<double>(e.net.bytes));
-      else if (e.net.op == "deliver")
-        stats_.net_deliver_delay.push_back(static_cast<double>(e.net.delay));
+      if (e.op == NetOp::kSend)
+        stats_.net_send_bytes.push_back(static_cast<double>(e.net_send.bytes));
+      else if (e.op == NetOp::kDeliver)
+        stats_.net_deliver_delay.push_back(
+            static_cast<double>(e.net_deliver.delay));
       break;
     case EventKind::kQsim:
       stats_.qsim_similarity.push_back(e.qsim.similarity);

@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "common/trace_reader.hpp"
+#include "common/trace_schema.hpp"
 
 namespace glap::trace {
 
@@ -112,7 +112,9 @@ struct Violation {
 
 /// Verifies the physical invariants every run_experiment trace satisfies
 /// by construction (the rules mirror DataCenter's own preconditions plus
-/// the harness's conservation arithmetic — see DESIGN.md §10.5):
+/// the harness's conservation arithmetic — see DESIGN.md §10.5). Names
+/// outside the schema's tables (an unknown activity or drop reason, link
+/// or channel) never get here: the readers reject them.
 ///
 ///   monotone-rounds          round numbers never decrease
 ///   summary-gap              "round" summaries are consecutive
@@ -143,16 +145,13 @@ struct Violation {
 ///   activity-park-off-pm     only powered-on PMs park (the engine un-parks
 ///                            a node before any lifecycle transition)
 ///   activity-reason          parking carries reason "converged"; wakes
-///                            carry any other known sim::WakeReason name
+///                            carry any other sim::WakeReason name
 ///   net-deliver-unsent       a deliver/drop references a msg id with no
 ///                            prior send (no deliver-before-send)
 ///   net-delay-arithmetic     deliver.round == send.round + deliver.delay
 ///   net-terminal-duplicate   at most one terminal (deliver or drop) per
 ///                            msg id — a message cannot be both delivered
 ///                            and dropped
-///   net-drop-reason          drops carry reason "loss" or "congestion"
-///                            (a drop requires a lossy or congested link);
-///                            queue lines name link "access" or "uplink"
 ///   net-queue-zero           queue lines report a positive backlog — the
 ///                            writer skips idle links (DESIGN.md §13.6),
 ///                            so readers tolerate per-round gaps in queue

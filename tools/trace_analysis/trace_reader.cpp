@@ -1,4 +1,4 @@
-#include "common/trace_reader.hpp"
+#include "trace_analysis/trace_reader.hpp"
 
 #include <cerrno>
 #include <charconv>
@@ -144,7 +144,8 @@ class Cursor {
 }
 
 /// Field extractor: accumulates the first error and lets the caller
-/// finish the extraction unconditionally, then test ok() once.
+/// finish the extraction unconditionally, then test ok() once. One
+/// read() overload per schema field type.
 class Fields {
  public:
   Fields(const std::vector<Member>& members, std::string* error)
@@ -152,28 +153,16 @@ class Fields {
 
   [[nodiscard]] bool ok() const noexcept { return ok_; }
 
-  void require_i64(std::string_view key, std::int64_t* out) {
-    const JsonValue* v = number(key);
-    if (v == nullptr) return;
-    const auto [ptr, ec] =
-        std::from_chars(v->text.data(), v->text.data() + v->text.size(), *out);
-    if (ec != std::errc() || ptr != v->text.data() + v->text.size())
-      fail(std::string("field '") + std::string(key) +
-           "' is not an integer");
+  void read(field::I64, std::string_view key, std::int64_t* out) {
+    integer(key, out, "' is not an integer");
   }
 
-  void require_u64(std::string_view key, std::uint64_t* out) {
-    const JsonValue* v = number(key);
-    if (v == nullptr) return;
-    const auto [ptr, ec] =
-        std::from_chars(v->text.data(), v->text.data() + v->text.size(), *out);
-    if (ec != std::errc() || ptr != v->text.data() + v->text.size())
-      fail(std::string("field '") + std::string(key) +
-           "' is not an unsigned integer");
+  void read(field::U64, std::string_view key, std::uint64_t* out) {
+    integer(key, out, "' is not an unsigned integer");
   }
 
-  void require_double(std::string_view key, double* out) {
-    const JsonValue* v = number(key);
+  void read(field::F64, std::string_view key, double* out) {
+    const JsonValue* v = typed(key, JsonValue::Type::kNumber, "number");
     if (v == nullptr) return;
     // strtod needs NUL termination; number tokens are short.
     const std::string token(v->text);
@@ -187,47 +176,47 @@ class Fields {
     *out = parsed;
   }
 
-  void require_bool(std::string_view key, bool* out) {
-    const Member* m = require(key);
-    if (m == nullptr) return;
-    if (m->value.type != JsonValue::Type::kBool) {
-      fail(std::string("field '") + std::string(key) + "' is not a bool");
-      return;
-    }
-    *out = m->value.boolean;
+  void read(field::Flag, std::string_view key, bool* out) {
+    const JsonValue* v = typed(key, JsonValue::Type::kBool, "bool");
+    if (v != nullptr) *out = v->boolean;
   }
 
-  void require_string(std::string_view key, std::string* out) {
-    const Member* m = require(key);
-    if (m == nullptr) return;
-    if (m->value.type != JsonValue::Type::kString) {
-      fail(std::string("field '") + std::string(key) + "' is not a string");
-      return;
-    }
-    *out = std::string(m->value.text);
+  template <const NameTable& Table>
+  void read(field::Code<Table>, std::string_view key, std::uint8_t* out) {
+    const JsonValue* v = typed(key, JsonValue::Type::kString, "string");
+    if (v != nullptr && !code_of(Table, v->text, out))
+      fail(std::string("field '") + std::string(key) + "' has unknown " +
+           std::string(Table.what) + " '" + std::string(v->text) + "'");
   }
 
-private:
+ private:
   void fail(const std::string& why) {
     if (ok_ && error_ != nullptr && error_->empty()) *error_ = why;
     ok_ = false;
   }
 
-  const Member* require(std::string_view key) {
+  const JsonValue* typed(std::string_view key, JsonValue::Type type,
+                         const char* noun) {
     const Member* m = find(members_, key);
-    if (m == nullptr)
+    if (m == nullptr) {
       fail(std::string("missing field '") + std::string(key) + "'");
-    return m;
-  }
-
-  const JsonValue* number(std::string_view key) {
-    const Member* m = require(key);
-    if (m == nullptr) return nullptr;
-    if (m->value.type != JsonValue::Type::kNumber) {
-      fail(std::string("field '") + std::string(key) + "' is not a number");
+      return nullptr;
+    }
+    if (m->value.type != type) {
+      fail(std::string("field '") + std::string(key) + "' is not a " + noun);
       return nullptr;
     }
     return &m->value;
+  }
+
+  template <class Int>
+  void integer(std::string_view key, Int* out, const char* not_one) {
+    const JsonValue* v = typed(key, JsonValue::Type::kNumber, "number");
+    if (v == nullptr) return;
+    const auto [ptr, ec] =
+        std::from_chars(v->text.data(), v->text.data() + v->text.size(), *out);
+    if (ec != std::errc() || ptr != v->text.data() + v->text.size())
+      fail(std::string("field '") + std::string(key) + not_one);
   }
 
   const std::vector<Member>& members_;
@@ -235,34 +224,78 @@ private:
   bool ok_ = true;
 };
 
+// ---- GTB primitive readers ----------------------------------------------
+
+class GtbCursor {
+ public:
+  GtbCursor(std::string_view payload, std::string* error)
+      : p_(payload.data()),
+        end_(payload.data() + payload.size()),
+        error_(error) {}
+
+  bool fail(const std::string& why) {
+    if (error_ != nullptr && error_->empty()) *error_ = why;
+    ok_ = false;
+    return false;
+  }
+
+  [[nodiscard]] bool ok() const noexcept { return ok_; }
+  [[nodiscard]] bool at_end() const noexcept { return p_ == end_; }
+
+  bool read(field::U64, std::uint64_t* out) {
+    if (end_ - p_ < 8) return fail("record payload ends mid-field");
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i)
+      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p_[i]))
+           << (8 * i);
+    p_ += 8;
+    *out = v;
+    return true;
+  }
+
+  bool read(field::I64, std::int64_t* out) {
+    std::uint64_t v = 0;
+    if (!read(field::U64{}, &v)) return false;
+    *out = static_cast<std::int64_t>(v);
+    return true;
+  }
+
+  bool read(field::F64, double* out) {
+    std::uint64_t bits = 0;
+    if (!read(field::U64{}, &bits)) return false;
+    std::memcpy(out, &bits, sizeof *out);
+    return true;
+  }
+
+  bool read(field::Flag, bool* out) {
+    std::uint8_t v = 0;
+    if (!byte(&v)) return false;
+    *out = v != 0;
+    return true;
+  }
+
+  template <const NameTable& Table>
+  bool read(field::Code<Table>, std::uint8_t* out) {
+    if (!byte(out)) return false;
+    if (code_name(Table, *out).empty())
+      return fail("unknown " + std::string(Table.what) + " code");
+    return true;
+  }
+
+ private:
+  bool byte(std::uint8_t* out) {
+    if (end_ - p_ < 1) return fail("record payload ends mid-field");
+    *out = static_cast<std::uint8_t>(*p_++);
+    return true;
+  }
+
+  const char* p_;
+  const char* end_;
+  std::string* error_;
+  bool ok_ = true;
+};
+
 }  // namespace
-
-const char* event_kind_name(EventKind k) {
-  switch (k) {
-    case EventKind::kMigration: return "migration";
-    case EventKind::kPower: return "power";
-    case EventKind::kShuffle: return "shuffle";
-    case EventKind::kOverload: return "overload";
-    case EventKind::kFault: return "fault";
-    case EventKind::kActivity: return "activity";
-    case EventKind::kNet: return "net";
-    case EventKind::kRound: return "round";
-    case EventKind::kQsim: return "qsim";
-    case EventKind::kRelearn: return "relearn";
-  }
-  return "?";
-}
-
-bool event_kind_from_name(std::string_view name, EventKind* out) {
-  for (std::size_t i = 0; i < kEventKindCount; ++i) {
-    const auto kind = static_cast<EventKind>(i);
-    if (name == event_kind_name(kind)) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
-}
 
 bool parse_trace_line(std::string_view line, TraceEvent* out,
                       std::string* error) {
@@ -278,94 +311,63 @@ bool parse_trace_line(std::string_view line, TraceEvent* out,
       *error = "missing string field 'ev'";
     return false;
   }
-  TraceEvent parsed;
-  if (!event_kind_from_name(ev->value.text, &parsed.kind)) {
+  std::uint8_t kind = 0;
+  if (!code_of(kEventKinds, ev->value.text, &kind)) {
     if (error != nullptr)
       *error = "unknown event kind '" + std::string(ev->value.text) + "'";
     return false;
   }
 
   Fields fields(members, error);
-  fields.require_u64("round", &parsed.round);
-  switch (parsed.kind) {
-    case EventKind::kMigration:
-      fields.require_i64("vm", &parsed.migration.vm);
-      fields.require_i64("from", &parsed.migration.from);
-      fields.require_i64("to", &parsed.migration.to);
-      fields.require_double("cpu", &parsed.migration.cpu);
-      fields.require_double("energy_j", &parsed.migration.energy_j);
-      break;
-    case EventKind::kPower:
-      fields.require_i64("pm", &parsed.power.pm);
-      fields.require_bool("on", &parsed.power.on);
-      break;
-    case EventKind::kShuffle:
-      fields.require_i64("initiator", &parsed.shuffle.initiator);
-      fields.require_i64("peer", &parsed.shuffle.peer);
-      fields.require_i64("sent", &parsed.shuffle.sent);
-      fields.require_i64("reply", &parsed.shuffle.reply);
-      break;
-    case EventKind::kOverload:
-      fields.require_i64("pm", &parsed.overload.pm);
-      fields.require_double("cpu", &parsed.overload.cpu);
-      break;
-    case EventKind::kFault:
-      fields.require_i64("pm", &parsed.fault.pm);
-      fields.require_i64("kind", &parsed.fault.code);
-      fields.require_double("value", &parsed.fault.value);
-      break;
-    case EventKind::kActivity:
-      fields.require_i64("pm", &parsed.activity.pm);
-      fields.require_bool("awake", &parsed.activity.awake);
-      fields.require_string("reason", &parsed.activity.reason);
-      break;
-    case EventKind::kNet:
-      fields.require_string("op", &parsed.net.op);
-      if (parsed.net.op == "send") {
-        fields.require_i64("src", &parsed.net.src);
-        fields.require_i64("dst", &parsed.net.dst);
-        fields.require_i64("msg", &parsed.net.msg);
-        fields.require_i64("bytes", &parsed.net.bytes);
-        fields.require_string("channel", &parsed.net.channel);
-      } else if (parsed.net.op == "deliver") {
-        fields.require_i64("src", &parsed.net.src);
-        fields.require_i64("dst", &parsed.net.dst);
-        fields.require_i64("msg", &parsed.net.msg);
-        fields.require_i64("delay", &parsed.net.delay);
-      } else if (parsed.net.op == "drop") {
-        fields.require_i64("src", &parsed.net.src);
-        fields.require_i64("dst", &parsed.net.dst);
-        fields.require_i64("msg", &parsed.net.msg);
-        fields.require_string("reason", &parsed.net.reason);
-      } else if (parsed.net.op == "queue") {
-        fields.require_string("link", &parsed.net.link);
-        fields.require_i64("id", &parsed.net.link_id);
-        fields.require_i64("bytes", &parsed.net.bytes);
-      } else if (!parsed.net.op.empty()) {
-        if (error != nullptr && error->empty())
-          *error = "unknown net op '" + parsed.net.op + "'";
-        return false;
-      }
-      break;
-    case EventKind::kRound:
-      fields.require_u64("active_pms", &parsed.summary.active_pms);
-      fields.require_u64("overloaded_pms", &parsed.summary.overloaded_pms);
-      fields.require_u64("migrations", &parsed.summary.migrations);
-      fields.require_u64("messages", &parsed.summary.messages);
-      fields.require_u64("bytes", &parsed.summary.bytes);
-      break;
-    case EventKind::kQsim:
-      fields.require_double("similarity", &parsed.qsim.similarity);
-      break;
-    case EventKind::kRelearn:
-      break;
-  }
+  std::uint64_t round = 0;
+  fields.read(field::U64{}, "round", &round);
+  auto op = static_cast<std::uint8_t>(NetOp::kNone);
+  if (static_cast<EventKind>(kind) == EventKind::kNet)
+    fields.read(field::Code<kNetOps>{}, "op", &op);
+  TraceEvent parsed;
+  if (fields.ok() && blank_event(static_cast<EventKind>(kind),
+                                 static_cast<NetOp>(op), round, &parsed))
+    visit_payload(parsed, [&fields](auto& payload) {
+      for_each_field(payload, [&fields](std::string_view key, auto type,
+                                        auto& value) {
+        fields.read(type, key, &value);
+      });
+    });
   if (!fields.ok()) {
     if (error != nullptr && !error->empty())
-      *error += std::string(" in ev=\"") + event_kind_name(parsed.kind) + "\"";
+      *error += std::string(" in ev=\"") +
+                std::string(ev->value.text) + "\"";
     return false;
   }
-  *out = std::move(parsed);
+  *out = parsed;
+  return true;
+}
+
+bool decode_gtb_payload(std::string_view payload, TraceEvent* out,
+                        std::string* error) {
+  if (error != nullptr) error->clear();
+  GtbCursor in(payload, error);
+  std::uint8_t kind = 0;
+  std::uint64_t round = 0;
+  if (!in.read(field::Code<kEventKinds>{}, &kind) ||
+      !in.read(field::U64{}, &round))
+    return false;
+  auto op = static_cast<std::uint8_t>(NetOp::kNone);
+  if (static_cast<EventKind>(kind) == EventKind::kNet &&
+      !in.read(field::Code<kNetOps>{}, &op))
+    return false;
+  TraceEvent parsed;
+  if (!blank_event(static_cast<EventKind>(kind), static_cast<NetOp>(op),
+                   round, &parsed))
+    return in.fail("record matches no trace schema shape");
+  visit_payload(parsed, [&in](auto& payload) {
+    for_each_field(payload, [&in](std::string_view, auto type, auto& value) {
+      in.read(type, &value);
+    });
+  });
+  if (!in.ok()) return false;
+  if (!in.at_end()) return in.fail("trailing bytes after the record");
+  *out = parsed;
   return true;
 }
 
