@@ -1,6 +1,8 @@
 #include "baselines/pabfd.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <span>
 
 namespace glap::baselines {
 
@@ -9,19 +11,12 @@ constexpr std::size_t kMonitorMsgBytes = 16;
 }
 
 PabfdManager::PabfdManager(const PabfdConfig& config, cloud::DataCenter& dc)
-    : config_(config), dc_(dc), history_(dc.pm_count()) {
+    : config_(config), dc_(dc) {
   GLAP_REQUIRE(config.mad_safety > 0.0, "mad_safety must be positive");
   GLAP_REQUIRE(config.history_window >= config.min_history,
                "history_window smaller than min_history");
   GLAP_REQUIRE(config.min_history >= 2, "min_history too small for MAD");
 }
-
-struct PabfdInstaller {
-  static void mark_manager(PabfdManager& m, sim::NodeId node) {
-    m.manager_node_ = node;
-    m.is_manager_ = true;
-  }
-};
 
 sim::Engine::ProtocolSlot PabfdManager::install(sim::Engine& engine,
                                                 const PabfdConfig& config,
@@ -32,32 +27,42 @@ sim::Engine::ProtocolSlot PabfdManager::install(sim::Engine& engine,
   GLAP_REQUIRE(manager_node < engine.node_count(), "manager node out of range");
   const auto slot = engine.add_protocol_pool<PabfdManager>(
       [&](sim::NodeId /*i*/) { return PabfdManager(config, dc); });
-  PabfdInstaller::mark_manager(
-      engine.protocol_at<PabfdManager>(slot, manager_node), manager_node);
+  PabfdManager& m = engine.protocol_at<PabfdManager>(slot, manager_node);
+  m.manager_node_ = manager_node;
+  m.is_manager_ = true;
+  const std::size_t n = dc.pm_count();
+  m.history_.assign(n * config.history_window, 0.0);
+  m.recorded_.assign(n, 0);
+  m.tu_.assign(n, config.default_upper);
+  m.samples_.reserve(config.history_window);
   return slot;
 }
 
-double PabfdManager::mad(std::vector<double> samples) {
-  GLAP_REQUIRE(!samples.empty(), "MAD of an empty sample");
-  auto median_of = [](std::vector<double>& v) {
-    const std::size_t mid = v.size() / 2;
-    std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid),
-                     v.end());
-    double m = v[mid];
-    if (v.size() % 2 == 0) {
-      const double lower =
-          *std::max_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid));
-      m = 0.5 * (m + lower);
-    }
-    return m;
-  };
-  const double med = median_of(samples);
-  for (double& x : samples) x = std::abs(x - med);
-  return median_of(samples);
+namespace {
+
+// Median of `v`, reordering it.
+double median_in_place(std::span<double> v) {
+  const std::size_t mid = v.size() / 2;
+  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid),
+                   v.end());
+  double m = v[mid];
+  if (v.size() % 2 == 0) {
+    const double lower =
+        *std::max_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid));
+    m = 0.5 * (m + lower);
+  }
+  return m;
 }
 
-double PabfdManager::iqr(std::vector<double> samples) {
-  GLAP_REQUIRE(!samples.empty(), "IQR of an empty sample");
+// MAD and IQR of `samples`, overwriting them (the manager's hot path
+// runs these on its scratch buffer; the public wrappers on a copy).
+double mad_in_place(std::span<double> samples) {
+  const double med = median_in_place(samples);
+  for (double& x : samples) x = std::abs(x - med);
+  return median_in_place(samples);
+}
+
+double iqr_in_place(std::span<double> samples) {
   std::sort(samples.begin(), samples.end());
   auto quantile = [&](double q) {
     const double rank = q * static_cast<double>(samples.size() - 1);
@@ -67,6 +72,18 @@ double PabfdManager::iqr(std::vector<double> samples) {
     return samples[lo] + frac * (samples[hi] - samples[lo]);
   };
   return quantile(0.75) - quantile(0.25);
+}
+
+}  // namespace
+
+double PabfdManager::mad(std::vector<double> samples) {
+  GLAP_REQUIRE(!samples.empty(), "MAD of an empty sample");
+  return mad_in_place(samples);
+}
+
+double PabfdManager::iqr(std::vector<double> samples) {
+  GLAP_REQUIRE(!samples.empty(), "IQR of an empty sample");
+  return iqr_in_place(samples);
 }
 
 double PabfdManager::lr_forecast(const std::vector<double>& samples) {
@@ -89,17 +106,34 @@ double PabfdManager::lr_forecast(const std::vector<double>& samples) {
 }
 
 double PabfdManager::upper_threshold(cloud::PmId pm) const {
-  GLAP_REQUIRE(pm < history_.size(), "pm id out of range");
-  const auto& h = history_[pm];
-  if (h.size() < config_.min_history) return config_.default_upper;
-  const std::vector<double> samples(h.begin(), h.end());
+  GLAP_REQUIRE(is_manager_,
+               "only the manager instance keeps utilization history");
+  GLAP_REQUIRE(pm < recorded_.size(), "pm id out of range");
+  std::vector<double> samples;
+  return threshold_of(pm, samples);
+}
+
+double PabfdManager::threshold_of(cloud::PmId pm,
+                                  std::vector<double>& samples) const {
+  const std::size_t window = config_.history_window;
+  const std::size_t recorded = recorded_[pm];
+  if (recorded < config_.min_history) return config_.default_upper;
+  // Unroll the ring oldest first: lr_forecast fits over sample order.
+  const auto ring = history_.begin() + static_cast<std::ptrdiff_t>(pm * window);
+  if (recorded < window) {
+    samples.assign(ring, ring + static_cast<std::ptrdiff_t>(recorded));
+  } else {
+    const auto oldest = ring + static_cast<std::ptrdiff_t>(recorded % window);
+    samples.assign(oldest, ring + static_cast<std::ptrdiff_t>(window));
+    samples.insert(samples.end(), ring, oldest);
+  }
   double tu = config_.default_upper;
   switch (config_.estimator) {
     case ThresholdEstimator::kMad:
-      tu = 1.0 - config_.mad_safety * mad(samples);
+      tu = 1.0 - config_.mad_safety * mad_in_place(samples);
       break;
     case ThresholdEstimator::kIqr:
-      tu = 1.0 - config_.mad_safety * iqr(samples);
+      tu = 1.0 - config_.mad_safety * iqr_in_place(samples);
       break;
     case ThresholdEstimator::kLr: {
       // Declare "overloaded" when the projected next utilization (scaled
@@ -114,23 +148,30 @@ double PabfdManager::upper_threshold(cloud::PmId pm) const {
 }
 
 void PabfdManager::record_history() {
+  const std::size_t window = config_.history_window;
   for (cloud::PmId p = 0; p < dc_.pm_count(); ++p) {
     if (!dc_.pm_on(p)) continue;
-    auto& h = history_[p];
-    h.push_back(std::min(dc_.current_utilization(p).cpu, 1.0));
-    while (h.size() > config_.history_window) h.pop_front();
+    history_[p * window + recorded_[p] % window] =
+        std::min(dc_.current_utilization(p).cpu, 1.0);
+    ++recorded_[p];
   }
 }
 
+void PabfdManager::refresh_thresholds() {
+  // History changes only in record_history, so every Tu stays fixed from
+  // here to the end of the cycle, whatever the cycle migrates or wakes.
+  for (cloud::PmId p = 0; p < dc_.pm_count(); ++p)
+    tu_[p] = threshold_of(p, samples_);
+}
+
 std::optional<cloud::PmId> PabfdManager::best_target(
-    cloud::VmId vm, cloud::PmId exclude,
-    const std::vector<bool>& barred) const {
+    cloud::VmId vm, cloud::PmId exclude) const {
   std::optional<cloud::PmId> best;
   double best_power_delta = 0.0;
   double best_util = 0.0;
   const Resources vm_usage = dc_.vm_current_usage(vm);
   for (cloud::PmId p = 0; p < dc_.pm_count(); ++p) {
-    if (p == exclude || barred[p] || !dc_.pm_on(p)) continue;
+    if (p == exclude || barred_[p] || !dc_.pm_on(p)) continue;
     if (!dc_.can_host(p, vm)) continue;
     const double u_before = std::min(dc_.current_utilization(p).cpu, 1.0);
     const double u_after = std::min(
@@ -169,33 +210,34 @@ std::optional<cloud::PmId> PabfdManager::wake_one(sim::Engine& engine) {
 void PabfdManager::relieve_overloads(sim::Engine& engine) {
   // Gather evictions from every overloaded host (Minimum Migration Time:
   // smallest resident memory first).
-  std::vector<std::pair<cloud::VmId, cloud::PmId>> to_place;
+  to_place_.clear();
   for (cloud::PmId p = 0; p < dc_.pm_count(); ++p) {
     if (!dc_.pm_on(p)) continue;
-    const double tu = upper_threshold(p);
+    const double tu = tu_[p];
     double cpu_usage = dc_.current_usage(p).cpu;
     const double cap = dc_.pm(p).spec().cpu_mips;
     if (cpu_usage / cap <= tu) continue;
-    auto vms = dc_.pm(p).vms();
-    std::sort(vms.begin(), vms.end(), [&](cloud::VmId a, cloud::VmId b) {
+    const auto& hosted = dc_.pm(p).vms();
+    vms_.assign(hosted.begin(), hosted.end());
+    std::sort(vms_.begin(), vms_.end(), [&](cloud::VmId a, cloud::VmId b) {
       return dc_.vm_current_usage(a).mem < dc_.vm_current_usage(b).mem;
     });
-    for (cloud::VmId v : vms) {
+    for (cloud::VmId v : vms_) {
       if (cpu_usage / cap <= tu) break;
-      to_place.emplace_back(v, p);
+      to_place_.emplace_back(v, p);
       cpu_usage -= dc_.vm_current_usage(v).cpu;
     }
   }
 
   // Power-aware BFD placement: decreasing CPU demand.
-  std::sort(to_place.begin(), to_place.end(),
+  std::sort(to_place_.begin(), to_place_.end(),
             [&](const auto& a, const auto& b) {
               return dc_.vm_current_usage(a.first).cpu >
                      dc_.vm_current_usage(b.first).cpu;
             });
-  std::vector<bool> barred(dc_.pm_count(), false);
-  for (const auto& [vm, source] : to_place) {
-    auto target = best_target(vm, source, barred);
+  barred_.assign(dc_.pm_count(), false);
+  for (const auto& [vm, source] : to_place_) {
+    auto target = best_target(vm, source);
     if (!target) {
       if (const auto fresh = wake_one(engine))
         target = dc_.can_host(*fresh, vm) ? fresh : std::nullopt;
@@ -212,7 +254,7 @@ void PabfdManager::evacuate_underloaded(sim::Engine& engine) {
   // Consider hosts in increasing CPU utilization; try to fully evacuate
   // each. Hosts that already received evacuated VMs this pass are barred
   // from being evacuated themselves (they were just chosen as targets).
-  std::vector<cloud::PmId> order;
+  order_.clear();
   for (cloud::PmId p = 0; p < dc_.pm_count(); ++p) {
     // The manager's own host must stay on.
     if (!dc_.pm_on(p) || p == static_cast<cloud::PmId>(manager_node_))
@@ -223,60 +265,60 @@ void PabfdManager::evacuate_underloaded(sim::Engine& engine) {
                         sim::NodeStatus::kSleeping);
       continue;
     }
-    order.push_back(p);
+    order_.push_back(p);
   }
-  std::sort(order.begin(), order.end(), [&](cloud::PmId a, cloud::PmId b) {
+  std::sort(order_.begin(), order_.end(), [&](cloud::PmId a, cloud::PmId b) {
     return dc_.current_utilization(a).cpu < dc_.current_utilization(b).cpu;
   });
 
-  std::vector<bool> barred(dc_.pm_count(), false);
+  barred_.assign(dc_.pm_count(), false);
+  spare_cpu_.resize(dc_.pm_count());
+  spare_mem_.resize(dc_.pm_count());
   // Hosts are visited in increasing utilization; once several in a row
   // cannot be evacuated, denser ones will not be either — stop scanning.
   std::size_t consecutive_failures = 0;
   constexpr std::size_t kMaxConsecutiveFailures = 5;
-  for (cloud::PmId p : order) {
+  for (cloud::PmId p : order_) {
     if (consecutive_failures >= kMaxConsecutiveFailures) break;
-    if (barred[p]) continue;
-    const double tu = upper_threshold(p);
-    if (dc_.current_utilization(p).cpu > tu) continue;  // overloaded: skip
+    if (barred_[p]) continue;
+    if (dc_.current_utilization(p).cpu > tu_[p]) continue;  // overloaded: skip
 
     // Dry-run: all VMs must find targets before any migration happens.
-    std::vector<double> spare_cpu(dc_.pm_count());
-    std::vector<double> spare_mem(dc_.pm_count());
     for (cloud::PmId t = 0; t < dc_.pm_count(); ++t) {
       // Evacuation targets keep threshold headroom — a switch-off that
       // pushes its receivers straight past Tu would be undone (and paid
       // for again) at the very next controller cycle.
-      spare_cpu[t] = dc_.pm(t).spec().cpu_mips * upper_threshold(t) -
-                     dc_.current_usage(t).cpu;
-      spare_mem[t] = dc_.pm(t).spec().mem_mb - dc_.current_usage(t).mem;
+      spare_cpu_[t] = dc_.pm(t).spec().cpu_mips * tu_[t] -
+                      dc_.current_usage(t).cpu;
+      spare_mem_[t] = dc_.pm(t).spec().mem_mb - dc_.current_usage(t).mem;
     }
-    auto vms = dc_.pm(p).vms();
-    std::sort(vms.begin(), vms.end(), [&](cloud::VmId a, cloud::VmId b) {
+    const auto& hosted = dc_.pm(p).vms();
+    vms_.assign(hosted.begin(), hosted.end());
+    std::sort(vms_.begin(), vms_.end(), [&](cloud::VmId a, cloud::VmId b) {
       return dc_.vm_current_usage(a).cpu > dc_.vm_current_usage(b).cpu;
     });
-    std::vector<std::pair<cloud::VmId, cloud::PmId>> plan;
+    plan_.clear();
     bool feasible = true;
-    for (cloud::VmId v : vms) {
+    for (cloud::VmId v : vms_) {
       const Resources usage = dc_.vm_current_usage(v);
       std::optional<cloud::PmId> target;
       double best_spare = 0.0;
       for (cloud::PmId t = 0; t < dc_.pm_count(); ++t) {
-        if (t == p || barred[t] || !dc_.pm_on(t)) continue;
-        if (usage.cpu > spare_cpu[t] || usage.mem > spare_mem[t]) continue;
+        if (t == p || barred_[t] || !dc_.pm_on(t)) continue;
+        if (usage.cpu > spare_cpu_[t] || usage.mem > spare_mem_[t]) continue;
         // Best fit: tightest remaining CPU.
-        if (!target || spare_cpu[t] < best_spare) {
+        if (!target || spare_cpu_[t] < best_spare) {
           target = t;
-          best_spare = spare_cpu[t];
+          best_spare = spare_cpu_[t];
         }
       }
       if (!target) {
         feasible = false;
         break;
       }
-      plan.emplace_back(v, *target);
-      spare_cpu[*target] -= usage.cpu;
-      spare_mem[*target] -= usage.mem;
+      plan_.emplace_back(v, *target);
+      spare_cpu_[*target] -= usage.cpu;
+      spare_mem_[*target] -= usage.mem;
     }
     if (!feasible) {
       ++consecutive_failures;
@@ -284,9 +326,9 @@ void PabfdManager::evacuate_underloaded(sim::Engine& engine) {
     }
     consecutive_failures = 0;
 
-    for (const auto& [v, t] : plan) {
+    for (const auto& [v, t] : plan_) {
       dc_.migrate(v, t);
-      barred[t] = true;
+      barred_[t] = true;
       engine.network().count_message(static_cast<sim::NodeId>(p),
                                      static_cast<sim::NodeId>(t),
                                      kMonitorMsgBytes);
@@ -294,7 +336,7 @@ void PabfdManager::evacuate_underloaded(sim::Engine& engine) {
     dc_.set_power(p, cloud::PmPower::kSleep);
     engine.set_status(static_cast<sim::NodeId>(p),
                       sim::NodeStatus::kSleeping);
-    barred[p] = true;
+    barred_[p] = true;
   }
 }
 
@@ -312,6 +354,7 @@ void PabfdManager::execute(sim::Engine& engine, sim::NodeId self,
       1, config_.interval_rounds);
   if (++cycles_since_action_ < interval) return;
   cycles_since_action_ = 0;
+  refresh_thresholds();
   relieve_overloads(engine);
   evacuate_underloaded(engine);
 }

@@ -21,7 +21,8 @@
 // highest migration counts in Figs. 8-10.
 #pragma once
 
-#include <deque>
+#include <utility>
+#include <vector>
 
 #include "cloud/datacenter.hpp"
 #include "sim/engine.hpp"
@@ -90,18 +91,24 @@ class PabfdManager final : public sim::Protocol {
   /// exposed for tests.
   [[nodiscard]] static double lr_forecast(const std::vector<double>& samples);
 
-  /// Current adaptive upper threshold of `pm`.
+  /// Current adaptive upper threshold of `pm`. Only the manager keeps
+  /// utilization history; asking a stand-in is a precondition error.
   [[nodiscard]] double upper_threshold(cloud::PmId pm) const;
 
  private:
   void record_history();
+  /// Fills tu_ for every PM, sleeping ones included.
+  void refresh_thresholds();
   void relieve_overloads(sim::Engine& engine);
   void evacuate_underloaded(sim::Engine& engine);
 
+  /// Tu of `pm` from its history, unrolled oldest first into `samples`.
+  [[nodiscard]] double threshold_of(cloud::PmId pm,
+                                    std::vector<double>& samples) const;
+
   /// Feasible target minimizing power increase; nullopt when none.
   [[nodiscard]] std::optional<cloud::PmId> best_target(
-      cloud::VmId vm, cloud::PmId exclude,
-      const std::vector<bool>& barred) const;
+      cloud::VmId vm, cloud::PmId exclude) const;
 
   /// Wakes any sleeping PM and returns it; nullopt when none sleeps.
   std::optional<cloud::PmId> wake_one(sim::Engine& engine);
@@ -111,9 +118,24 @@ class PabfdManager final : public sim::Protocol {
   sim::NodeId manager_node_ = 0;
   bool is_manager_ = false;
   std::uint32_t cycles_since_action_ = 0;
-  std::vector<std::deque<double>> history_;  // per-PM CPU utilization
 
-  friend struct PabfdInstaller;
+  // Manager-only state; install() sizes it, stand-ins keep it empty.
+  // Per-PM CPU utilization history as one flat ring of history_window
+  // slots per PM: PM p's sample k (counting from its first) lives at
+  // history_[p * history_window + k % history_window].
+  std::vector<double> history_;
+  std::vector<std::size_t> recorded_;  // samples ever recorded, per PM
+  std::vector<double> tu_;  // Tu per PM, fixed for one controller cycle
+
+  // Per-cycle scratch, reused so a steady-state cycle allocates nothing.
+  std::vector<double> samples_;
+  std::vector<bool> barred_;
+  std::vector<std::pair<cloud::VmId, cloud::PmId>> to_place_;  // (vm, from)
+  std::vector<std::pair<cloud::VmId, cloud::PmId>> plan_;      // (vm, to)
+  std::vector<cloud::VmId> vms_;
+  std::vector<cloud::PmId> order_;
+  std::vector<double> spare_cpu_;
+  std::vector<double> spare_mem_;
 };
 
 }  // namespace glap::baselines

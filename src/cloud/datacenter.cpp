@@ -49,11 +49,6 @@ DataCenter::DataCenter(std::vector<PmSpec> pm_specs,
   }
 }
 
-const Pm& DataCenter::pm(PmId id) const {
-  GLAP_REQUIRE(id < pms_.size(), "pm id out of range");
-  return pms_[id];
-}
-
 const Vm& DataCenter::vm(VmId id) const {
   GLAP_REQUIRE(id < vms_.size(), "vm id out of range");
   return vms_[id];
@@ -164,15 +159,6 @@ void DataCenter::place_randomly(Rng& rng, std::size_t max_per_pm) {
 
 std::vector<PmId> DataCenter::placement_snapshot() const { return host_of_; }
 
-Resources DataCenter::current_usage(PmId id) const {
-  GLAP_REQUIRE(id < pms_.size(), "pm id out of range");
-  return usage_cache_[id];
-}
-
-Resources DataCenter::current_utilization(PmId id) const {
-  return current_usage(id).divided_by(pm(id).spec().capacity());
-}
-
 Resources DataCenter::average_utilization(PmId id) const {
   const Pm& host = pm(id);
   Resources sum;
@@ -187,14 +173,6 @@ bool DataCenter::overloaded(PmId id) const {
 
 bool DataCenter::cpu_saturated(PmId id) const {
   return current_utilization(id).cpu >= 1.0;
-}
-
-bool DataCenter::can_host(PmId pm_id, VmId vm_id) const {
-  GLAP_REQUIRE(pm_id < pms_.size(), "pm id out of range");
-  GLAP_REQUIRE(vm_id < vms_.size(), "vm id out of range");
-  if (pm_on_[pm_id] == 0) return false;
-  const Resources projected = usage_cache_[pm_id] + vm_usage_[vm_id];
-  return projected.fits_within(pms_[pm_id].spec().capacity());
 }
 
 std::size_t DataCenter::overloaded_pm_count() const {

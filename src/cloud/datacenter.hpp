@@ -13,7 +13,10 @@
 // averages, and precomputed absolute usage, plus the per-PM power bitmap,
 // live in flat vectors indexed by VmId/PmId. The Vm/Pm objects carry only
 // identity and hardware description, so the per-round demand fold and the
-// overload/power scans at 100k PMs walk contiguous memory.
+// overload/power scans at 100k PMs walk contiguous memory. The accessors
+// placement scans call once per candidate host (pm, current_usage,
+// current_utilization, can_host) are defined in this header so they
+// inline: PABFD's best fit visits every PM for each evicted VM.
 #pragma once
 
 #include <cstdint>
@@ -90,7 +93,10 @@ class DataCenter {
   [[nodiscard]] std::size_t pm_count() const noexcept { return pms_.size(); }
   [[nodiscard]] std::size_t vm_count() const noexcept { return vms_.size(); }
 
-  [[nodiscard]] const Pm& pm(PmId id) const;
+  [[nodiscard]] const Pm& pm(PmId id) const {
+    GLAP_REQUIRE(id < pms_.size(), "pm id out of range");
+    return pms_[id];
+  }
   [[nodiscard]] const Vm& vm(VmId id) const;
   [[nodiscard]] PmId host_of(VmId id) const;
 
@@ -136,10 +142,15 @@ class DataCenter {
   // ---------------------------------------------------------- utilization
 
   /// Aggregate *current* usage of a PM in absolute units (MIPS, MB).
-  [[nodiscard]] Resources current_usage(PmId id) const;
+  [[nodiscard]] Resources current_usage(PmId id) const {
+    GLAP_REQUIRE(id < pms_.size(), "pm id out of range");
+    return usage_cache_[id];
+  }
   /// Aggregate current usage as a fraction of PM capacity (may exceed 1
   /// when the PM is oversubscribed — that is what overload means).
-  [[nodiscard]] Resources current_utilization(PmId id) const;
+  [[nodiscard]] Resources current_utilization(PmId id) const {
+    return current_usage(id).divided_by(pm(id).spec().capacity());
+  }
   /// Same using the VMs' running-average demands (GLAP's state input).
   [[nodiscard]] Resources average_utilization(PmId id) const;
 
@@ -149,7 +160,13 @@ class DataCenter {
   [[nodiscard]] bool cpu_saturated(PmId id) const;
 
   /// True when `pm` can host `vm`'s *current* usage within capacity.
-  [[nodiscard]] bool can_host(PmId pm, VmId vm) const;
+  [[nodiscard]] bool can_host(PmId pm_id, VmId vm_id) const {
+    GLAP_REQUIRE(pm_id < pms_.size(), "pm id out of range");
+    GLAP_REQUIRE(vm_id < vms_.size(), "vm id out of range");
+    if (pm_on_[pm_id] == 0) return false;
+    const Resources projected = usage_cache_[pm_id] + vm_usage_[vm_id];
+    return projected.fits_within(pms_[pm_id].spec().capacity());
+  }
 
   /// Number of PMs that are powered on.
   [[nodiscard]] std::size_t active_pm_count() const noexcept {

@@ -12,11 +12,6 @@ LinearPowerModel::LinearPowerModel(PowerParams params) : params_(params) {
                "max power below idle power");
 }
 
-double LinearPowerModel::power_watts(double utilization) const noexcept {
-  const double u = std::clamp(utilization, 0.0, 1.0);
-  return params_.idle_watts + (params_.max_watts - params_.idle_watts) * u;
-}
-
 double LinearPowerModel::energy_joules(double utilization,
                                        double seconds) const noexcept {
   return power_watts(utilization) * seconds;

@@ -10,6 +10,8 @@
 // migration CPU overhead share.
 #pragma once
 
+#include <algorithm>
+
 #include "cloud/specs.hpp"
 
 namespace glap::cloud {
@@ -19,7 +21,11 @@ class LinearPowerModel {
   explicit LinearPowerModel(PowerParams params);
 
   /// Instantaneous draw at utilization u (clamped to [0,1]), in watts.
-  [[nodiscard]] double power_watts(double utilization) const noexcept;
+  /// Inline: placement scans evaluate it twice per candidate host.
+  [[nodiscard]] double power_watts(double utilization) const noexcept {
+    const double u = std::clamp(utilization, 0.0, 1.0);
+    return params_.idle_watts + (params_.max_watts - params_.idle_watts) * u;
+  }
 
   /// Energy over an interval at constant utilization, in joules.
   [[nodiscard]] double energy_joules(double utilization,

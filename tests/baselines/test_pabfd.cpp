@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 namespace glap::baselines {
 namespace {
 
@@ -167,6 +171,97 @@ TEST(Pabfd, IntervalThrottlesReconsolidation) {
   bed.dc.observe_demands(demands);
   bed.engine.step();
   EXPECT_GT(bed.dc.total_migrations(), 0u);
+}
+
+TEST(Pabfd, StandInsHoldNoHistory) {
+  TestBed bed(3, 3, immediate(), 9);
+  // Only the manager (node 0) keeps utilization history; the other pool
+  // instances are inert and cannot answer for any PM.
+  EXPECT_THROW((void)bed.engine.protocol_at<PabfdManager>(bed.slot, 1)
+                   .upper_threshold(0),
+               precondition_error);
+  EXPECT_DOUBLE_EQ(bed.manager().upper_threshold(1),
+                   PabfdConfig{}.default_upper);
+}
+
+// Tu as upper_threshold derives it from `samples`, oldest first.
+double expected_threshold(const PabfdConfig& config,
+                          const std::vector<double>& samples) {
+  double spread = 0.0;
+  if (config.estimator == ThresholdEstimator::kIqr)
+    spread = PabfdManager::iqr(samples);
+  else
+    spread = std::max(0.0, PabfdManager::lr_forecast(samples) - samples.back());
+  return std::clamp(1.0 - config.mad_safety * spread, config.min_upper, 1.0);
+}
+
+TEST(Pabfd, HistoryWrapsInChronologicalOrder) {
+  for (ThresholdEstimator est :
+       {ThresholdEstimator::kLr, ThresholdEstimator::kIqr}) {
+    PabfdConfig config;
+    config.estimator = est;
+    config.interval_rounds = 1000;  // record history only, never act
+    TestBed bed(2, 4, config, 10);
+    for (cloud::VmId v = 0; v < 4; ++v) bed.dc.place(v, 0);
+    // A concave ramp: the last history_window samples differ in spread
+    // from the first, and the LR forecast runs ahead of the last sample.
+    const std::size_t rounds = config.history_window + 7;
+    std::vector<double> seen;
+    for (std::size_t k = 0; k < rounds; ++k) {
+      const double f = 0.1 + 0.12 * std::sqrt(static_cast<double>(k));
+      bed.dc.observe_demands(std::vector<Resources>(4, Resources{f, 0.2}));
+      seen.push_back(std::min(bed.dc.current_utilization(0).cpu, 1.0));
+      bed.engine.step();
+    }
+    const std::vector<double> last(
+        seen.end() - static_cast<std::ptrdiff_t>(config.history_window),
+        seen.end());
+    const double tu = bed.manager().upper_threshold(0);
+    EXPECT_DOUBLE_EQ(tu, expected_threshold(config, last)) << to_string(est);
+    EXPECT_LT(tu, 1.0) << to_string(est);
+    EXPECT_GT(tu, config.min_upper) << to_string(est);
+    if (est == ThresholdEstimator::kLr) {
+      // The same window in ring-slot order fits a different line.
+      std::vector<double> slot_order(config.history_window);
+      for (std::size_t k = 0; k < rounds; ++k)
+        slot_order[k % config.history_window] = seen[k];
+      EXPECT_NE(expected_threshold(config, slot_order), tu);
+    }
+  }
+}
+
+TEST(Pabfd, SleepingPmKeepsItsHistory) {
+  PabfdConfig config;
+  config.interval_rounds = 1000;  // record history only, never act
+  config.min_history = 4;
+  config.history_window = 8;
+  TestBed bed(2, 2, config, 11);
+  bed.dc.place(0, 0);
+  bed.dc.place(1, 1);
+  std::vector<double> seen;  // PM1's samples while it is on
+  auto round = [&](double f1) {
+    bed.dc.observe_demands(
+        std::vector<Resources>{Resources{0.5, 0.2}, Resources{f1, 0.2}});
+    if (bed.dc.pm_on(1))
+      seen.push_back(std::min(bed.dc.current_utilization(1).cpu, 1.0));
+    bed.engine.step();
+  };
+  for (int k = 0; k < 6; ++k) round(k % 2 == 0 ? 0.2 : 0.9);
+  const double before_sleep = bed.manager().upper_threshold(1);
+  EXPECT_NE(before_sleep, config.default_upper);
+
+  bed.dc.migrate(1, 0);
+  bed.dc.set_power(1, cloud::PmPower::kSleep);
+  for (int k = 0; k < 5; ++k) round(0.4);  // PM1 off: nothing recorded
+  EXPECT_DOUBLE_EQ(bed.manager().upper_threshold(1), before_sleep);
+
+  bed.dc.set_power(1, cloud::PmPower::kOn);
+  bed.dc.migrate(1, 1);
+  round(0.5);
+  ASSERT_EQ(seen.size(), 7u);
+  EXPECT_DOUBLE_EQ(bed.manager().upper_threshold(1),
+                   std::clamp(1.0 - config.mad_safety * PabfdManager::mad(seen),
+                              config.min_upper, 1.0));
 }
 
 TEST(Pabfd, ConfigValidation) {
