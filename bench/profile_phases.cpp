@@ -1,7 +1,7 @@
 // Per-phase engine profile (DESIGN.md §10.4) across the four algorithms
 // at the scale's first (size, ratio) cell.
 //
-// Two tables land in results/profile_phases.json:
+// Three tables land in results/profile_phases.json:
 //
 //   counts  — phase call counts. Deterministic: a pure function of
 //             (config, seed), identical for the serial and event
@@ -9,6 +9,10 @@
 //   wall    — every phase with wall-clock totals and ns/call. Wall time
 //             is host-dependent; this table is reported but never
 //             drift-checked.
+//   memory  — Q-table bytes per PM at the end of the run (inline part
+//             plus heap capacity), for the algorithms that keep them.
+//             It depends on the standard library's vector growth, so it
+//             is reported but not drift-checked.
 #include <cstdio>
 #include <string>
 
@@ -27,6 +31,7 @@ int main() {
   ConsoleTable counts({"algorithm", "phase", "calls"});
   ConsoleTable wall(
       {"algorithm", "phase", "calls", "wall_ms", "ns_per_call"});
+  ConsoleTable memory({"algorithm", "pms", "qtable_bytes_per_pm"});
 
   for (harness::Algorithm algo : bench::all_algorithms()) {
     harness::ExperimentConfig config;
@@ -38,6 +43,9 @@ int main() {
 
     const harness::RunResult result = harness::run_experiment(config);
     const std::string name(to_string(algo));
+    if (result.qtable_bytes > 0)
+      memory.add_row({name, std::to_string(config.pm_count),
+                      std::to_string(result.qtable_bytes / config.pm_count)});
     for (const auto& phase : result.profile) {
       counts.add_row({name, phase.label, std::to_string(phase.calls)});
       const double ms = static_cast<double>(phase.wall_ns) / 1e6;
@@ -53,8 +61,9 @@ int main() {
 
   std::printf("deterministic phase call counts:\n%s\n",
               counts.render().c_str());
-  std::printf("wall-clock (host-dependent):\n%s",
+  std::printf("wall-clock (host-dependent):\n%s\n",
               wall.render().c_str());
+  std::printf("Q-table memory (end of run):\n%s", memory.render().c_str());
 
   harness::BenchReport report(
       "profile_phases",
@@ -62,6 +71,7 @@ int main() {
   report.set_scale(scale);
   report.add_table("counts", counts);
   report.add_table("wall", wall);
+  report.add_table("memory", memory);
   report.write();
   return 0;
 }

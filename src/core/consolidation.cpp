@@ -151,10 +151,12 @@ void GlapConsolidationProtocol::perform_exchange(sim::Engine& engine,
   }
   ++calm_rounds_;
   const QuiescenceConfig& quiesce = config_.quiescence;
-  if (quiesce.idle_rounds > 0 && calm_rounds_ >= quiesce.idle_rounds) {
+  if (quiesce.enabled && quiesce.idle_rounds > 0 &&
+      calm_rounds_ >= quiesce.idle_rounds) {
     // Candidate to park: measure convergence against this exchange's
     // partner. Deferring the cosine scan to the calm tail keeps the
-    // O(|table|) cost off every non-candidate round.
+    // O(|table|) cost off every non-candidate round; with quiescence off
+    // nothing reads the result, so the scan is skipped.
     auto& mine = engine.protocol_at<GossipLearningProtocol>(learning_slot_,
                                                             self);
     auto& theirs = engine.protocol_at<GossipLearningProtocol>(learning_slot_,

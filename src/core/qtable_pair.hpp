@@ -23,6 +23,10 @@ struct QTablePair {
   [[nodiscard]] bool empty() const noexcept {
     return out.empty() && in.empty();
   }
+  /// Bytes the pair occupies: both tables' inline parts and heap values.
+  [[nodiscard]] std::size_t footprint_bytes() const noexcept {
+    return out.footprint_bytes() + in.footprint_bytes();
+  }
 };
 
 /// Cosine similarity over the concatenated (out, in) key spaces — the

@@ -78,6 +78,11 @@ struct RunResult {
   /// null when ObservabilityConfig::metrics_enabled() was false.
   std::shared_ptr<metrics::MetricsRegistry> metrics;
 
+  /// Bytes held by every PM's Q-table pair at the end of the run, inline
+  /// part plus heap capacity (QTablePair::footprint_bytes); 0 for the
+  /// baselines, which keep no Q-tables.
+  std::uint64_t qtable_bytes = 0;
+
   /// Per-phase engine profile (empty unless ObservabilityConfig::profile).
   /// Call counts are a pure function of (config, seed); wall_ns is
   /// host-dependent.

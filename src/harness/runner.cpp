@@ -467,6 +467,14 @@ RunResult run_experiment(const ExperimentConfig& config) {
                   "vm stranded on a sleeping pm after the run");
 
   // --- Run-level aggregates ------------------------------------------------
+  if (glap_slots)
+    for (std::size_t n = 0; n < engine.node_count(); ++n)
+      result.qtable_bytes +=
+          engine
+              .protocol_at<core::GossipLearningProtocol>(
+                  glap_slots->learning, static_cast<sim::NodeId>(n))
+              .tables()
+              .footprint_bytes();
   result.total_migrations = dc.total_migrations();
   result.migration_energy_j = dc.migration_energy_joules();
   result.total_energy_j = dc.total_energy_joules();

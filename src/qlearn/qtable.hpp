@@ -1,20 +1,28 @@
-// Sparse-semantics Q-table over (PM-state, VM-action) pairs, stored flat.
+// Sparse Q-table over (PM-state, VM-action) pairs, stored packed.
 //
 // The key space is tiny and fixed (81 states × 81 actions = 6561 pairs),
-// so the table keeps a dense row-major array of doubles plus a presence
-// bitmap (~52 KiB per table) instead of a hash map. Sparsity is still
-// semantically meaningful — the gossip aggregation phase unions sparse
-// tables, so "no entry" means "this PM never observed that pair", not
-// "value zero" — but presence is a bit test, the Bellman update (paper
-// formula (1)) is a branch-free store, greedy lookups scan one contiguous
-// 81-element row, and Algorithm 2's merge plus the Fig. 5 cosine metric
-// are single linear passes with no hashing anywhere.
+// but a PM only ever visits a fraction of it: ~29% of the keys once
+// aggregation has unioned the fleet's tables, ~7% during learning. So the
+// table stores only the entries it holds:
+//   - a 103-word presence bitmap (one bit per key);
+//   - a 103-entry prefix rank: rank_[w] = present keys in words [0, w);
+//   - the present values, packed in ascending key order.
+// The inline part is ~1 KiB and each entry costs 8 bytes, so a PM's pair
+// of tables holding the 3,804 entries measured at the end of a 10k-PM
+// warm-up takes ~32 KiB (a dense 6561-double layout took ~104 KiB).
 //
-// Invariant: slots whose presence bit is clear always hold 0.0, so
-// value() and the linear kernels never need to consult the bitmap.
+// Sparsity is semantically meaningful — the gossip aggregation phase
+// unions sparse tables, so "no entry" means "this PM never observed that
+// pair", not "value zero". A point lookup is a bit test plus the rank of
+// its word plus one popcount. The linear kernels walk the bitmap with
+// sequential value cursors (the Fig. 5 cosine, max_value, entries()) or,
+// where two tables' keys differ in a word, place entries by word-local
+// ranks read from a byte table (Algorithm 2's merge); none pays a
+// popcount per entry.
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <iterator>
 #include <optional>
@@ -29,6 +37,11 @@ struct QLearningParams {
   double alpha = 0.5;  ///< learning rate
   double gamma = 0.8;  ///< discount factor
 };
+
+struct CosineTerms;
+class QTable;
+[[nodiscard]] CosineTerms cosine_terms(const QTable& a,
+                                       const QTable& b) noexcept;
 
 class QTable {
  public:
@@ -50,7 +63,8 @@ class QTable {
 
   /// Q(s, a); 0 when the pair has never been visited.
   [[nodiscard]] double value(State s, Action a) const noexcept {
-    return values_[key_of(s, a)];
+    const Key k = key_of(s, a);
+    return present(k) ? values_[rank_of(k)] : 0.0;
   }
 
   /// Whether the pair has an entry.
@@ -58,11 +72,7 @@ class QTable {
     return present(key_of(s, a));
   }
 
-  void set(State s, Action a, double q) noexcept {
-    const Key k = key_of(s, a);
-    mark_present(k);
-    values_[k] = q;
-  }
+  void set(State s, Action a, double q);
 
   /// Bellman update (paper formula (1)):
   ///   Q(s,a) ← (1−α)·Q(s,a) + α·(R + γ·max_{a'} Q(s',a')).
@@ -81,15 +91,25 @@ class QTable {
       State s, const std::vector<Action>& available) const;
 
   /// Algorithm 2's UPDATE: average values present in both tables, adopt
-  /// entries present in exactly one.
-  void merge_average(const QTable& other) noexcept;
+  /// entries present in exactly one. A merge that adds entries leaves
+  /// the value store sized to exactly the union when it had to grow it.
+  void merge_average(const QTable& other);
 
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const noexcept { return values_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return values_.empty(); }
+  /// Entries the value store holds room for without reallocating.
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return values_.capacity();
+  }
+  /// Bytes this table occupies: the inline bitmap, rank and vector header
+  /// plus the value store's heap capacity.
+  [[nodiscard]] std::size_t footprint_bytes() const noexcept {
+    return sizeof(QTable) + values_.capacity() * sizeof(double);
+  }
   void clear() noexcept {
-    values_.fill(0.0);
+    values_.clear();
     present_.fill(0);
-    size_ = 0;
+    rank_.fill(0);
   }
 
   /// Iteration support for serialization/analysis: a forward range of
@@ -101,16 +121,18 @@ class QTable {
     using difference_type = std::ptrdiff_t;
     using iterator_category = std::forward_iterator_tag;
 
-    EntryIterator(const QTable* table, std::size_t key) noexcept
-        : table_(table), key_(key) {
-      skip_absent();
+    EntryIterator(const QTable* table, std::size_t index) noexcept
+        : table_(table), bits_(table->present_[0]), index_(index) {
+      settle();
     }
     [[nodiscard]] value_type operator*() const noexcept {
-      return {static_cast<Key>(key_), table_->values_[key_]};
+      return {static_cast<Key>(word_ * 64 + std::countr_zero(bits_)),
+              table_->values_[index_]};
     }
     EntryIterator& operator++() noexcept {
-      ++key_;
-      skip_absent();
+      bits_ &= bits_ - 1;
+      ++index_;
+      settle();
       return *this;
     }
     EntryIterator operator++(int) noexcept {
@@ -120,26 +142,26 @@ class QTable {
     }
     [[nodiscard]] friend bool operator==(const EntryIterator& a,
                                          const EntryIterator& b) noexcept {
-      return a.key_ == b.key_;
+      return a.index_ == b.index_;
     }
 
    private:
-    void skip_absent() noexcept {
-      while (key_ < kEntryCount && !table_->present(static_cast<Key>(key_)))
-        ++key_;
+    void settle() noexcept {
+      while (bits_ == 0 && word_ + 1 < kWordCount)
+        bits_ = table_->present_[++word_];
     }
     const QTable* table_;
-    std::size_t key_;
+    std::size_t word_ = 0;
+    std::uint64_t bits_;
+    std::size_t index_;
   };
 
   class EntryRange {
    public:
     explicit EntryRange(const QTable* table) noexcept : table_(table) {}
-    [[nodiscard]] EntryIterator begin() const noexcept {
-      return {table_, 0};
-    }
+    [[nodiscard]] EntryIterator begin() const noexcept { return {table_, 0}; }
     [[nodiscard]] EntryIterator end() const noexcept {
-      return {table_, kEntryCount};
+      return {table_, table_->size()};
     }
 
    private:
@@ -150,34 +172,37 @@ class QTable {
     return EntryRange{this};
   }
 
-  /// Flat 6561-element value array (absent pairs hold 0.0). Backing store
-  /// for the vectorized merge/cosine kernels and dense().
-  [[nodiscard]] const std::array<double, kEntryCount>& raw_values()
-      const noexcept {
-    return values_;
-  }
-
   /// Dense 6561-dim snapshot (unvisited pairs are 0).
-  [[nodiscard]] std::vector<double> dense() const {
-    return {values_.begin(), values_.end()};
-  }
+  [[nodiscard]] std::vector<double> dense() const;
 
  private:
+  friend CosineTerms cosine_terms(const QTable& a, const QTable& b) noexcept;
+
   static constexpr std::size_t kWordCount = (kEntryCount + 63) / 64;
 
+  /// Set bits in `x`. The build targets baseline x86-64, which has no
+  /// popcnt instruction; std::popcount becomes a libgcc call there, while
+  /// this branch-free sum stays inline.
+  [[nodiscard]] static constexpr std::size_t bit_count(std::uint64_t x) noexcept {
+    x -= (x >> 1) & 0x5555555555555555u;
+    x = (x & 0x3333333333333333u) + ((x >> 2) & 0x3333333333333333u);
+    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0Fu;
+    return static_cast<std::size_t>((x * 0x0101010101010101u) >> 56);
+  }
   [[nodiscard]] bool present(Key k) const noexcept {
     return (present_[k >> 6] >> (k & 63)) & 1u;
   }
-  void mark_present(Key k) noexcept {
-    std::uint64_t& word = present_[k >> 6];
-    const std::uint64_t bit = std::uint64_t{1} << (k & 63);
-    size_ += static_cast<std::uint32_t>(!(word & bit));
-    word |= bit;
+  /// Position of key `k` in values_: the number of present keys below it.
+  [[nodiscard]] std::size_t rank_of(Key k) const noexcept {
+    const std::uint64_t below = (std::uint64_t{1} << (k & 63)) - 1;
+    return rank_[k >> 6] + bit_count(present_[k >> 6] & below);
   }
+  /// Adds absent key `k` with value `q` at its rank `index`.
+  void insert(Key k, std::size_t index, double q);
 
-  std::array<double, kEntryCount> values_{};
   std::array<std::uint64_t, kWordCount> present_{};
-  std::uint32_t size_ = 0;
+  std::array<std::uint16_t, kWordCount> rank_{};
+  std::vector<double> values_;
 };
 
 /// Dot product and squared norms over two tables' shared key space (one
@@ -188,8 +213,6 @@ struct CosineTerms {
   double norm_a = 0.0;
   double norm_b = 0.0;
 };
-[[nodiscard]] CosineTerms cosine_terms(const QTable& a,
-                                       const QTable& b) noexcept;
 
 /// Cosine similarity between two sparse tables over the union key space.
 /// Two empty tables are identical (1); one empty table scores 0.

@@ -21,8 +21,10 @@ struct TestBed {
   sim::Engine::ProtocolSlot learning;
   sim::Engine::ProtocolSlot consolidation;
 
-  TestBed(std::size_t pms, std::size_t vms, std::uint64_t seed)
+  TestBed(std::size_t pms, std::size_t vms, std::uint64_t seed,
+          bool quiescence = false)
       : dc(pms, vms, cloud::DataCenterConfig{}), engine(pms, seed) {
+    config.quiescence.enabled = quiescence;
     config.learning_rounds = 0;
     config.aggregation_rounds = 0;
     config.consolidation_start_round = 0;
@@ -198,6 +200,33 @@ TEST(Consolidation, StatsCountExchanges) {
   std::uint64_t exchanges = 0;
   for (sim::NodeId n = 0; n < 4; ++n) exchanges += bed.stats(n).exchanges;
   EXPECT_GT(exchanges, 0u);
+}
+
+// The partner-table cosine only feeds the quiescence vote, so with
+// quiescence off a calm streak past idle_rounds must not compute it.
+TEST(Consolidation, SimilarityScanRunsOnlyWithQuiescenceEnabled) {
+  for (const bool quiescence : {false, true}) {
+    TestBed bed(4, 4, 8, quiescence);
+    for (cloud::VmId v = 0; v < 4; ++v) bed.dc.place(v, v);
+    bed.seed_tables(0);  // π_in rejects every move: every exchange is calm
+    bed.set_demands(std::vector<Resources>(4, Resources{0.3, 0.3}));
+    const sim::Round steps = bed.config.quiescence.idle_rounds + 4;
+    for (sim::Round r = 0; r < steps; ++r) bed.engine.step();
+    for (sim::NodeId n = 0; n < 4; ++n) {
+      EXPECT_EQ(bed.stats(n).migrations, 0u);
+      const double similarity =
+          bed.engine
+              .protocol_at<GlapConsolidationProtocol>(bed.consolidation, n)
+              .last_partner_similarity();
+      if (quiescence)
+        EXPECT_NEAR(similarity, 1.0, 1e-12) << "node " << n;
+      else
+        EXPECT_EQ(similarity, -2.0) << "node " << n;
+    }
+    std::uint64_t exchanges = 0;
+    for (sim::NodeId n = 0; n < 4; ++n) exchanges += bed.stats(n).exchanges;
+    EXPECT_GT(exchanges, 4u * bed.config.quiescence.idle_rounds);
+  }
 }
 
 }  // namespace

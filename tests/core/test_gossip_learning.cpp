@@ -173,5 +173,19 @@ TEST(GossipLearning, InstallValidatesNodeMapping) {
       precondition_error);
 }
 
+TEST(QTablePair, FootprintSumsBothTables) {
+  QTablePair pair;
+  EXPECT_EQ(pair.footprint_bytes(), sizeof(QTablePair));
+  const auto s = qlearn::State::from_index(3);
+  for (std::uint16_t a = 0; a < 10; ++a)
+    pair.out.set(s, qlearn::Action::from_index(a), 1.0);
+  pair.in.set(s, qlearn::Action::from_index(0), -1.0);
+  EXPECT_EQ(pair.footprint_bytes(),
+            sizeof(QTablePair) +
+                (pair.out.capacity() + pair.in.capacity()) * sizeof(double));
+  EXPECT_EQ(pair.footprint_bytes(),
+            pair.out.footprint_bytes() + pair.in.footprint_bytes());
+}
+
 }  // namespace
 }  // namespace glap::core

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace glap::qlearn {
 namespace {
 
@@ -162,6 +165,93 @@ TEST(QTable, ClearEmpties) {
   table.set(kStateA, kActA, 1.0);
   table.clear();
   EXPECT_TRUE(table.empty());
+}
+
+TEST(QTable, ClearThenReuseStartsFromNothing) {
+  QTable table;
+  table.set(kStateA, kActA, 1.0);
+  table.set(kStateB, kActB, 2.0);
+  table.clear();
+  EXPECT_FALSE(table.contains(kStateA, kActA));
+  EXPECT_EQ(table.value(kStateB, kActB), 0.0);
+  EXPECT_EQ(table.max_value(kStateA), 0.0);
+  EXPECT_TRUE(table.entries().begin() == table.entries().end());
+  // Ranks restart too: a key below the old ones lands at index 0.
+  table.set(kStateB, kActA, 5.0);
+  table.set(kStateA, kActB, 3.0);
+  EXPECT_EQ(table.size(), 2u);
+  EXPECT_EQ(table.value(kStateB, kActA), 5.0);
+  EXPECT_EQ(table.value(kStateA, kActB), 3.0);
+  EXPECT_FALSE(table.contains(kStateB, kActB));
+}
+
+TEST(QTable, EntriesIterateInAscendingKeyOrder) {
+  QTable table;
+  const QTable::Key keys[] = {6560, 0, 63, 64, 4000, 127, 6527, 6528};
+  for (const QTable::Key k : keys)
+    table.set(QTable::state_of(k), QTable::action_of(k), k + 0.5);
+  std::vector<QTable::Key> seen;
+  for (const auto& [key, q] : table.entries()) {
+    EXPECT_EQ(q, key + 0.5);
+    seen.push_back(key);
+  }
+  EXPECT_EQ(seen, (std::vector<QTable::Key>{0, 63, 64, 127, 4000, 6527,
+                                            6528, 6560}));
+}
+
+TEST(QTable, FootprintIsInlinePartPlusHeapCapacity) {
+  QTable table;
+  // The inline part is the bitmap, the rank table and the vector header.
+  EXPECT_LE(sizeof(QTable), 1088u);
+  EXPECT_EQ(table.footprint_bytes(), sizeof(QTable));
+  for (std::uint16_t a = 0; a < 50; ++a)
+    table.set(kStateA, Action::from_index(a), 1.0);
+  EXPECT_EQ(table.size(), 50u);
+  EXPECT_EQ(table.footprint_bytes(),
+            sizeof(QTable) + table.capacity() * sizeof(double));
+}
+
+TEST(QTable, GrowingMergeReservesExactlyTheUnion) {
+  QTable a, b;
+  for (std::uint16_t s = 0; s < 5; ++s)
+    a.set(State::from_index(s), kActA, 1.0);
+  for (std::uint16_t s = 3; s < 40; ++s)
+    b.set(State::from_index(s), kActB, 2.0);
+  ASSERT_LT(a.capacity(), 42u);  // the union does not fit a's storage
+  a.merge_average(b);
+  EXPECT_EQ(a.size(), 42u);
+  EXPECT_EQ(a.capacity(), a.size());
+  // A merge that adds nothing keeps the storage as it is.
+  a.merge_average(b);
+  EXPECT_EQ(a.capacity(), 42u);
+}
+
+TEST(QTable, CopyMoveAndAssignIntoSmallerCapacity) {
+  QTable big;
+  for (std::uint16_t s = 0; s < 81; ++s)
+    big.set(State::from_index(s), kActA, s * 1.5);
+  QTable small;
+  small.set(kStateB, kActB, 7.0);
+  ASSERT_LT(small.capacity(), big.size());
+
+  small = big;  // assignment must grow the smaller store
+  EXPECT_EQ(small.size(), big.size());
+  EXPECT_FALSE(small.contains(kStateB, kActB));
+  for (std::uint16_t s = 0; s < 81; ++s)
+    EXPECT_EQ(small.value(State::from_index(s), kActA), s * 1.5);
+
+  QTable copy(big);
+  EXPECT_EQ(copy.capacity(), copy.size());
+  QTable moved(std::move(copy));
+  EXPECT_EQ(moved.size(), 81u);
+  EXPECT_EQ(moved.value(State::from_index(80), kActA), 120.0);
+
+  QTable target;
+  target.set(kStateA, kActB, -1.0);
+  target = std::move(moved);
+  EXPECT_EQ(target.size(), 81u);
+  EXPECT_FALSE(target.contains(kStateA, kActB));
+  EXPECT_DOUBLE_EQ(cosine_similarity(target, big), 1.0);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Differential test for the flat-array QTable: drives it alongside a
+// Differential test for the packed QTable: drives it alongside a
 // straightforward unordered_map reference (the seed implementation's
 // storage) through tens of thousands of randomized operations and
-// requires bit-identical results throughout. This pins down the flat
+// requires bit-identical results throughout. This pins down the packed
 // table's two load-bearing claims: sparsity semantics are preserved
 // ("no entry" is distinct from "value 0"), and every kernel — Bellman
 // update, greedy lookups, Algorithm 2's merge, the Fig. 5 cosine —
@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -216,6 +217,157 @@ TEST(QTableDifferential, TenThousandRandomizedOpsMatchHashMapReference) {
   expect_identical(flat_b, ref_b);
   ASSERT_EQ(cosine_similarity(flat_a, flat_b),
             ReferenceQTable::cosine(ref_a, ref_b));
+}
+
+/// Both tables' set() applied to the same key.
+void set_both(QTable& flat, ReferenceQTable& ref, QTable::Key k, double q) {
+  flat.set(QTable::state_of(k), QTable::action_of(k), q);
+  ref.set(QTable::state_of(k), QTable::action_of(k), q);
+}
+
+TEST(QTableDifferential, RandomOrderInsertsMatchReference) {
+  std::vector<QTable::Key> keys(QTable::kEntryCount);
+  for (QTable::Key k = 0; k < keys.size(); ++k) keys[k] = k;
+  Rng rng(99);
+  rng.shuffle(keys);
+  QTable flat;
+  ReferenceQTable ref;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    set_both(flat, ref, keys[i], rng.uniform(-50.0, 50.0));
+    if (i % 997 == 0) expect_identical(flat, ref);
+  }
+  expect_identical(flat, ref);
+  // Overwrites keep the size and every other entry in place.
+  for (std::size_t i = 0; i < 500; ++i)
+    set_both(flat, ref, keys[i * 7], -static_cast<double>(i));
+  expect_identical(flat, ref);
+}
+
+/// Merges `b` into `a` on both implementations and compares the result.
+void merge_and_compare(QTable& flat_a, ReferenceQTable& ref_a,
+                       const QTable& flat_b, const ReferenceQTable& ref_b) {
+  flat_a.merge_average(flat_b);
+  ref_a.merge_average(ref_b);
+  expect_identical(flat_a, ref_a);
+  std::size_t n = 0;
+  for (const auto& [key, q] : flat_a.entries()) {
+    ASSERT_EQ(q, ref_a.value(QTable::state_of(key), QTable::action_of(key)));
+    ++n;
+  }
+  ASSERT_EQ(n, ref_a.size());
+}
+
+TEST(QTableDifferential, GrowingMergesMatchReference) {
+  Rng rng(7);
+  // Fills keys k with k % stride == phase (a strided, multi-word pattern).
+  const auto fill = [&rng](QTable& flat, ReferenceQTable& ref,
+                           QTable::Key stride, QTable::Key phase) {
+    for (QTable::Key k = phase; k < QTable::kEntryCount; k += stride)
+      set_both(flat, ref, k, rng.uniform(-300.0, 20.0));
+  };
+  {  // disjoint: a holds the even keys, b the odd ones
+    QTable fa, fb;
+    ReferenceQTable ra, rb;
+    fill(fa, ra, 2, 0);
+    fill(fb, rb, 2, 1);
+    merge_and_compare(fa, ra, fb, rb);
+    EXPECT_EQ(fa.size(), QTable::kEntryCount);
+    EXPECT_EQ(fa.capacity(), fa.size());
+  }
+  {  // nested both ways: b ⊂ a, then a ⊂ b
+    QTable fa, fb;
+    ReferenceQTable ra, rb;
+    fill(fa, ra, 3, 0);
+    fill(fb, rb, 6, 0);
+    QTable fa2 = fa;
+    ReferenceQTable ra2 = ra;
+    merge_and_compare(fa, ra, fb, rb);  // no growth
+    merge_and_compare(fb, rb, fa2, ra2);  // b grows to a's key set
+    EXPECT_EQ(fb.capacity(), fb.size());
+  }
+  {  // identical key sets, different values; then a self-merge
+    QTable fa, fb;
+    ReferenceQTable ra, rb;
+    fill(fa, ra, 5, 2);
+    fill(fb, rb, 5, 2);
+    merge_and_compare(fa, ra, fb, rb);
+    const QTable before = fa;
+    fa.merge_average(fa);
+    ReferenceQTable self = ra;
+    ra.merge_average(self);
+    expect_identical(fa, ra);
+    expect_identical(before, ra);
+  }
+  {  // overlapping random sets, merged into an empty table and back
+    QTable fa, fb, empty;
+    ReferenceQTable ra, rb, rempty;
+    for (int i = 0; i < 900; ++i) {
+      set_both(fa, ra, static_cast<QTable::Key>(rng.bounded(QTable::kEntryCount)),
+               rng.uniform(-5.0, 5.0));
+      set_both(fb, rb, static_cast<QTable::Key>(rng.bounded(QTable::kEntryCount)),
+               rng.uniform(-5.0, 5.0));
+    }
+    merge_and_compare(empty, rempty, fa, ra);
+    EXPECT_EQ(empty.capacity(), empty.size());
+    merge_and_compare(fa, ra, fb, rb);
+    merge_and_compare(fb, rb, fa, ra);
+    merge_and_compare(fb, rb, QTable{}, ReferenceQTable{});
+  }
+}
+
+TEST(QTableDifferential, CopiesAndAssignmentsStayIndependent) {
+  Rng rng(11);
+  QTable big;
+  ReferenceQTable ref_big;
+  for (int i = 0; i < 2000; ++i)
+    set_both(big, ref_big,
+             static_cast<QTable::Key>(rng.bounded(QTable::kEntryCount)),
+             rng.uniform(-9.0, 9.0));
+  QTable small;
+  small.set(State::from_index(80), Action::from_index(80), 1.0);
+  small = big;
+  expect_identical(small, ref_big);
+  // Writing the copy leaves the source untouched.
+  small.set(State::from_index(0), Action::from_index(0), 123.0);
+  expect_identical(big, ref_big);
+  QTable moved = std::move(small);
+  QTable target = big;
+  target = std::move(moved);
+  EXPECT_EQ(target.value(State::from_index(0), Action::from_index(0)), 123.0);
+}
+
+TEST(QTableDifferential, CosineMatchesDenseOracleBitForBit) {
+  constexpr QTable::Key kTail = QTable::kEntryCount - 1;  // key 6560
+  Rng rng(5);
+  for (int trial = 0; trial < 60; ++trial) {
+    QTable fa, fb;
+    ReferenceQTable ra, rb;
+    // Densities from sparse to full; some trials share one key set so the
+    // matching-word path runs, others differ everywhere.
+    const double density = (trial % 6 + 1) / 6.0;
+    const bool shared = trial % 3 == 0;
+    for (QTable::Key k = 0; k < QTable::kEntryCount; ++k) {
+      const bool in_a = rng.uniform(0.0, 1.0) < density;
+      const bool in_b = shared ? in_a : rng.uniform(0.0, 1.0) < density;
+      if (in_a) set_both(fa, ra, k, rng.uniform(-300.0, 20.0));
+      if (in_b) set_both(fb, rb, k, rng.uniform(-300.0, 20.0));
+    }
+    // The tail key in neither, either or both tables.
+    if (trial % 4 == 1 || trial % 4 == 3)
+      set_both(fa, ra, kTail, rng.uniform(-300.0, 20.0));
+    if (trial % 4 == 2 || trial % 4 == 3)
+      set_both(fb, rb, kTail, rng.uniform(-300.0, 20.0));
+    ASSERT_EQ(cosine_similarity(fa, fb), ReferenceQTable::cosine(ra, rb))
+        << "trial " << trial;
+  }
+  // A table holding only the tail key.
+  QTable fa, fb;
+  ReferenceQTable ra, rb;
+  set_both(fa, ra, kTail, 3.0);
+  set_both(fb, rb, kTail, -2.0);
+  set_both(fb, rb, 17, 4.0);
+  ASSERT_EQ(cosine_similarity(fa, fb), ReferenceQTable::cosine(ra, rb));
+  ASSERT_EQ(cosine_similarity(fa, fa), ReferenceQTable::cosine(ra, ra));
 }
 
 TEST(QTableDifferential, BestActionTieBreaksTowardFirstAvailable) {
