@@ -1,19 +1,28 @@
-// Harness-level determinism: the event-driven scheduler (DESIGN.md §12)
-// must reproduce the serial reference run bit-for-bit — every per-round
-// sample and every floating-point aggregate — for every algorithm in the
-// suite, at every configuration, including quiescence, where the executed
-// set shrinks but must shrink identically under both engines (profile
-// call counts included).
+// Harness-level determinism (DESIGN.md §12.3): every algorithm in the
+// suite, at every configuration below, reproduces a committed golden bit
+// for bit — every per-round sample, every floating-point aggregate, the
+// network totals and the profiler's call counts. The goldens were
+// recorded on the serial reference loop, which visited every active node
+// in hash-rank order; the event loop that replaced it must execute the
+// same node sequence, which is what the "...MatchesSerial..." names
+// below still assert. Quiescence shrinks the executed set, and the
+// goldens pin that it shrinks the same way.
+//
+// Regenerate after an intentional behaviour change (from the repo root):
+//
+//   GLAP_UPDATE_GOLDEN=1 ./build/tests/test_integration --gtest_filter='*Determinism*'
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
 #include <sstream>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "common/trace_format.hpp"
 #include "harness/runner.hpp"
+#include "support/golden.hpp"
 
 namespace glap::harness {
 namespace {
@@ -28,61 +37,82 @@ ExperimentConfig small_config(Algorithm algorithm) {
   config.seed = 7;
   config.fit_glap_phases_to_warmup();
   // Profiler phase *counts* are part of the determinism contract
-  // (DESIGN.md §10.4); wall-clock is not and is never compared.
+  // (DESIGN.md §10.4); wall-clock is not and is never recorded.
   config.observability.profile = true;
   return config;
 }
 
-/// The deterministic half of the phase profile: (label, calls) pairs,
-/// in report order (wall-clock time is host-dependent and left out).
-std::vector<std::pair<std::string, std::uint64_t>> deterministic_profile(
-    const RunResult& result) {
-  std::vector<std::pair<std::string, std::uint64_t>> out;
-  for (const auto& phase : result.profile)
-    out.emplace_back(phase.label, phase.calls);
+void line(std::string* out, const char* key, std::uint64_t value) {
+  char buf[96];
+  std::snprintf(buf, sizeof buf, "%s %" PRIu64 "\n", key, value);
+  *out += buf;
+}
+
+void line(std::string* out, const char* key, double value) {
+  char buf[96];
+  std::snprintf(buf, sizeof buf, "%s %.17g\n", key, value);
+  *out += buf;
+}
+
+/// Every field the determinism contract covers, one per line: doubles as
+/// %.17g (round-trips exactly), profile phases as (label, calls) in report
+/// order, then one line per evaluation round.
+std::string render(const RunResult& r) {
+  std::string out;
+  line(&out, "total_migrations", r.total_migrations);
+  line(&out, "migration_energy_j", r.migration_energy_j);
+  line(&out, "total_energy_j", r.total_energy_j);
+  line(&out, "slavo", r.slavo);
+  line(&out, "slalm", r.slalm);
+  line(&out, "slav", r.slav);
+  line(&out, "messages", r.messages);
+  line(&out, "bytes", r.bytes);
+  line(&out, "final_active_pms", std::uint64_t{r.final_active_pms});
+  line(&out, "final_overloaded_pms", std::uint64_t{r.final_overloaded_pms});
+  line(&out, "final_bfd_bins", std::uint64_t{r.final_bfd_bins});
+  line(&out, "net_sends", r.net_sends);
+  line(&out, "net_delivered", r.net_delivered);
+  line(&out, "net_delayed", r.net_delayed);
+  line(&out, "net_dropped_loss", r.net_dropped_loss);
+  line(&out, "net_dropped_congestion", r.net_dropped_congestion);
+  for (const auto& phase : r.profile)
+    line(&out, ("profile " + phase.label).c_str(), phase.calls);
+  for (const RoundSample& s : r.rounds) {
+    char buf[192];
+    std::snprintf(buf, sizeof buf,
+                  "round %u active %u overloaded %u migrations_cum %" PRIu64
+                  " migrations_round %u migration_energy_j %.17g"
+                  " quiescent %u\n",
+                  s.round, s.active_pms, s.overloaded_pms, s.migrations_cum,
+                  s.migrations_round, s.migration_energy_j, s.quiescent_pms);
+    out += buf;
+  }
   return out;
 }
 
-void expect_identical(const RunResult& a, const RunResult& b,
-                      const char* what) {
-  EXPECT_EQ(a.total_migrations, b.total_migrations) << what;
-  EXPECT_EQ(a.migration_energy_j, b.migration_energy_j) << what;
-  EXPECT_EQ(a.total_energy_j, b.total_energy_j) << what;
-  EXPECT_EQ(a.slavo, b.slavo) << what;
-  EXPECT_EQ(a.slalm, b.slalm) << what;
-  EXPECT_EQ(a.slav, b.slav) << what;
-  EXPECT_EQ(a.messages, b.messages) << what;
-  EXPECT_EQ(a.bytes, b.bytes) << what;
-  EXPECT_EQ(a.final_active_pms, b.final_active_pms) << what;
-  EXPECT_EQ(a.final_overloaded_pms, b.final_overloaded_pms) << what;
-  EXPECT_EQ(a.final_bfd_bins, b.final_bfd_bins) << what;
-  EXPECT_EQ(deterministic_profile(a), deterministic_profile(b)) << what;
-  ASSERT_EQ(a.rounds.size(), b.rounds.size()) << what;
-  for (std::size_t r = 0; r < a.rounds.size(); ++r) {
-    EXPECT_EQ(a.rounds[r].active_pms, b.rounds[r].active_pms)
-        << what << " round " << r;
-    EXPECT_EQ(a.rounds[r].overloaded_pms, b.rounds[r].overloaded_pms)
-        << what << " round " << r;
-    EXPECT_EQ(a.rounds[r].migrations_cum, b.rounds[r].migrations_cum)
-        << what << " round " << r;
-    EXPECT_EQ(a.rounds[r].migrations_round, b.rounds[r].migrations_round)
-        << what << " round " << r;
-    EXPECT_EQ(a.rounds[r].migration_energy_j, b.rounds[r].migration_energy_j)
-        << what << " round " << r;
-    EXPECT_EQ(a.rounds[r].quiescent_pms, b.rounds[r].quiescent_pms)
-        << what << " round " << r;
-  }
+std::string golden_path(const std::string& name) {
+  return std::string(GLAP_TESTS_DIR) + "/integration/golden/determinism/" +
+         name;
+}
+
+/// Compares the run's rendered fields against golden `<name>.txt`. May
+/// ASSERT or GTEST_SKIP: call it last.
+void expect_golden(const RunResult& result, const std::string& name) {
+  testing_support::expect_matches_golden(
+      golden_path(name + ".txt"), render(result),
+      "simulated fields or profile call counts changed; if intentional, "
+      "regenerate with GLAP_UPDATE_GOLDEN=1");
+}
+
+std::string param_name(Algorithm algorithm) {
+  return std::string(to_string(algorithm));
 }
 
 class DeterminismTest : public ::testing::TestWithParam<Algorithm> {};
 
 TEST_P(DeterminismTest, EventEngineMatchesSerialBitForBit) {
-  ExperimentConfig config = small_config(GetParam());
-  const RunResult serial = run_experiment(config);
-
-  config.event_engine = true;
-  const RunResult event = run_experiment(config);
-  expect_identical(serial, event, "event");
+  expect_golden(run_experiment(small_config(GetParam())),
+                param_name(GetParam()));
 }
 
 TEST_P(DeterminismTest, EventEngineMatchesSerialUnderQuiescence) {
@@ -90,11 +120,8 @@ TEST_P(DeterminismTest, EventEngineMatchesSerialUnderQuiescence) {
   config.glap.quiescence.enabled = true;
   config.glap.quiescence.idle_rounds = 4;
   config.glap.quiescence.demand_epsilon = 0.10;
-  const RunResult serial = run_experiment(config);
-
-  config.event_engine = true;
-  const RunResult event = run_experiment(config);
-  expect_identical(serial, event, "event+quiescence");
+  expect_golden(run_experiment(config),
+                param_name(GetParam()) + "_quiescence");
 }
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, DeterminismTest,
@@ -102,14 +129,13 @@ INSTANTIATE_TEST_SUITE_P(Algorithms, DeterminismTest,
                                            Algorithm::kEcoCloud,
                                            Algorithm::kPabfd),
                          [](const auto& info) {
-                           return std::string(to_string(info.param));
+                           return param_name(info.param);
                          });
 
-// Satellite contract for the quiescence engine: a run long enough for PMs
-// to converge and park, with churn and demand drift supplying gossip /
-// demand / migration re-activations, must stay field-identical between
-// the serial and event engines AND must actually exercise the park/wake
-// cycle (otherwise this test would pass vacuously).
+// A run long enough for PMs to converge and park, with churn and demand
+// drift supplying gossip / demand / migration re-activations. Besides the
+// golden it must actually exercise the park/wake cycle, or the golden
+// would pin nothing about re-activation.
 TEST(Determinism, QuiescentPmsAreReactivatedIdenticallyUnderBothEngines) {
   ExperimentConfig config = small_config(Algorithm::kGlap);
   config.rounds = 80;
@@ -119,39 +145,25 @@ TEST(Determinism, QuiescentPmsAreReactivatedIdenticallyUnderBothEngines) {
   config.churn.enabled = true;
   config.churn.departure_prob = 0.003;
   config.churn.arrival_prob = 0.05;
-  const RunResult serial = run_experiment(config);
-
-  config.event_engine = true;
-  const RunResult event = run_experiment(config);
-  expect_identical(serial, event, "event+quiescence+churn");
+  const RunResult result = run_experiment(config);
 
   std::uint32_t peak = 0;
   bool woke = false;
-  for (std::size_t r = 0; r < serial.rounds.size(); ++r) {
-    peak = std::max(peak, serial.rounds[r].quiescent_pms);
+  for (std::size_t r = 0; r < result.rounds.size(); ++r) {
+    peak = std::max(peak, result.rounds[r].quiescent_pms);
     if (r > 0 &&
-        serial.rounds[r].quiescent_pms < serial.rounds[r - 1].quiescent_pms)
+        result.rounds[r].quiescent_pms < result.rounds[r - 1].quiescent_pms)
       woke = true;
   }
   EXPECT_GT(peak, 0u) << "no PM ever parked — the scenario is too noisy";
   EXPECT_TRUE(woke) << "no parked PM was ever re-activated";
+  expect_golden(result, "GLAP_quiescence_churn");
 }
 
 // ---- Network model (DESIGN.md §13.3) ------------------------------------
 // Message ids — and with them every loss decision and queueing outcome —
-// are assigned in executed interaction order, which the serial and event
-// engines share. The contract extends expect_identical with the
-// network-model totals.
-
-void expect_identical_net(const RunResult& a, const RunResult& b,
-                          const char* what) {
-  expect_identical(a, b, what);
-  EXPECT_EQ(a.net_sends, b.net_sends) << what;
-  EXPECT_EQ(a.net_delivered, b.net_delivered) << what;
-  EXPECT_EQ(a.net_delayed, b.net_delayed) << what;
-  EXPECT_EQ(a.net_dropped_loss, b.net_dropped_loss) << what;
-  EXPECT_EQ(a.net_dropped_congestion, b.net_dropped_congestion) << what;
-}
+// are assigned in executed interaction order, so the network totals in
+// the goldens pin that order too.
 
 class NetworkDeterminismTest : public ::testing::TestWithParam<Algorithm> {};
 
@@ -159,19 +171,16 @@ TEST_P(NetworkDeterminismTest, EventEngineMatchesSerialWithNetworkAndLoss) {
   ExperimentConfig config = small_config(GetParam());
   config.network.enabled = true;
   config.network.loss_rate = 0.01;
-  const RunResult serial = run_experiment(config);
-  EXPECT_GT(serial.net_sends, 0u) << "network model saw no traffic";
-
-  config.event_engine = true;
-  const RunResult event = run_experiment(config);
-  expect_identical_net(serial, event, "event+network");
+  const RunResult result = run_experiment(config);
+  EXPECT_GT(result.net_sends, 0u) << "network model saw no traffic";
+  expect_golden(result, param_name(GetParam()) + "_network");
 }
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, NetworkDeterminismTest,
                          ::testing::Values(Algorithm::kGlap, Algorithm::kGrmp,
                                            Algorithm::kEcoCloud),
                          [](const auto& info) {
-                           return std::string(to_string(info.param));
+                           return param_name(info.param);
                          });
 
 TEST(Determinism, NetworkRunIsReproducible) {
@@ -180,7 +189,7 @@ TEST(Determinism, NetworkRunIsReproducible) {
   config.network.loss_rate = 0.01;
   const RunResult a = run_experiment(config);
   const RunResult b = run_experiment(config);
-  expect_identical_net(a, b, "repeat+network");
+  EXPECT_EQ(render(a), render(b));
   EXPECT_GT(a.net_dropped_loss, 0u) << "1% loss never fired";
 }
 
@@ -202,8 +211,7 @@ TEST(Determinism, MoreThanOneEngineThreadIsRejected) {
 TEST(Determinism, EventEngineMatchesSerialWithNetworkAndQuiescence) {
   // Quiescence + network exercises the deferred-exchange machinery: a
   // delayed reply must block the initiator's park vote and the kNetwork
-  // wake must fire identically under both engines. Loss alone cannot
-  // defer, so force queueing delays with a starved uplink.
+  // wake must fire at the recorded point.
   ExperimentConfig config = small_config(Algorithm::kGlap);
   config.rounds = 60;
   config.network.enabled = true;
@@ -211,18 +219,13 @@ TEST(Determinism, EventEngineMatchesSerialWithNetworkAndQuiescence) {
   config.glap.quiescence.enabled = true;
   config.glap.quiescence.idle_rounds = 4;
   config.glap.quiescence.demand_epsilon = 0.10;
-  const RunResult serial = run_experiment(config);
-
-  config.event_engine = true;
-  const RunResult event = run_experiment(config);
-  expect_identical_net(serial, event, "event+network+quiescence");
+  expect_golden(run_experiment(config), "GLAP_network_quiescence");
 }
 
 // ---- trace-byte determinism (DESIGN.md §10.6) ---------------------------
 // The GTB binary trace is written through the same round-commit path as
 // JSONL, so its bytes — not just the decoded events — are part of the
-// determinism contract: the serial and event engines must produce
-// identical files, with or without sampling.
+// determinism contract, with or without sampling.
 
 std::string captured_trace(ExperimentConfig config) {
   std::ostringstream sink;
@@ -232,31 +235,31 @@ std::string captured_trace(ExperimentConfig config) {
   return sink.str();
 }
 
-TEST(Determinism, GtbTraceBytesIdenticalAcrossEngines) {
-  const ExperimentConfig config = small_config(Algorithm::kGlap);
-  const std::string serial = captured_trace(config);
-  ASSERT_GT(serial.size(), trace::kGtbHeaderBytes);
+void expect_trace_golden(const std::string& bytes, const std::string& name) {
+  testing_support::expect_matches_golden(
+      golden_path(name + ".gtb"), bytes,
+      "GTB trace bytes changed; if intentional, regenerate with "
+      "GLAP_UPDATE_GOLDEN=1");
+}
 
-  ExperimentConfig event = config;
-  event.event_engine = true;
-  EXPECT_EQ(serial, captured_trace(event)) << "event";
+TEST(Determinism, GtbTraceBytesIdenticalAcrossEngines) {
+  const std::string trace = captured_trace(small_config(Algorithm::kGlap));
+  ASSERT_GT(trace.size(), trace::kGtbHeaderBytes);
+  expect_trace_golden(trace, "GLAP_trace");
 }
 
 TEST(Determinism, SampledGtbTraceBytesIdenticalAcrossEngines) {
-  // Sampling keeps a pure-hash subset, so the surviving byte stream must
-  // also be engine-independent — and a strict subset of the full trace.
+  // Sampling keeps a pure-hash subset, so the surviving byte stream is
+  // pinned too — and must be a strict subset of the full trace.
   ExperimentConfig config = small_config(Algorithm::kGlap);
   config.observability.trace_sample_shuffle = 0.25;
-  const std::string serial = captured_trace(config);
-
-  ExperimentConfig event = config;
-  event.event_engine = true;
-  EXPECT_EQ(serial, captured_trace(event)) << "event+sampling";
+  const std::string sampled = captured_trace(config);
 
   ExperimentConfig full = config;
   full.observability.trace_sample_shuffle = 1.0;
-  EXPECT_LT(serial.size(), captured_trace(full).size())
+  EXPECT_LT(sampled.size(), captured_trace(full).size())
       << "0.25 shuffle keep did not shrink the trace";
+  expect_trace_golden(sampled, "GLAP_trace_sampled");
 }
 
 }  // namespace

@@ -1,14 +1,19 @@
 // Quiescence + event-scheduler semantics (DESIGN.md §12): unanimous
 // can_quiesce votes park a node, any veto blocks parking, wake /
-// schedule_wake / set_status re-activate, and the event engine's executed
-// sequence is exactly the serial engine's at the same configuration —
-// including mid-round wakes, which insert iff the woken rank has not
-// passed. Protocol storage goes through add_protocol_pool, so these tests
-// also cover the struct-of-arrays arena path.
+// schedule_wake / set_status re-activate, and the executed sequence is
+// the serial visit order — every active, unparked node in hash-rank order
+// each round, computed independently here — including mid-round wakes and
+// switch-ons, which run this round iff their rank has not passed.
+// Protocol storage goes through add_protocol_pool, so these tests also
+// cover the struct-of-arrays arena path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "sim/engine.hpp"
 
 namespace glap::sim {
@@ -177,13 +182,10 @@ TEST(Quiescence, StatusTransitionUnparks) {
   EXPECT_TRUE(log.empty());
 }
 
-/// Runs `rounds` rounds on a fresh engine with the given mode, injecting
-/// the same wake (node, after-round) sequence, and returns the executed
-/// node sequence.
-std::vector<NodeId> executed_sequence(bool event, Round rounds,
-                                      int threshold) {
+/// Runs `rounds` rounds on a fresh engine, injecting a fixed wake
+/// (node, after-round) pattern, and returns the executed node sequence.
+std::vector<NodeId> executed_sequence(Round rounds, int threshold) {
   Engine engine(16, 99);
-  if (event) engine.enable_event_scheduler();
   engine.enable_quiescence();
   std::vector<NodeId> log;
   const auto slot = install_counters(engine, &log, threshold);
@@ -202,27 +204,94 @@ std::vector<NodeId> executed_sequence(bool event, Round rounds,
 }
 
 TEST(EventScheduler, ExecutedSequenceIsIdenticalToSerial) {
-  const std::vector<NodeId> serial = executed_sequence(false, 12, 3);
-  const std::vector<NodeId> event = executed_sequence(true, 12, 3);
-  EXPECT_EQ(serial, event);
-  EXPECT_FALSE(serial.empty());
+  // Recorded on the serial reference loop (every active node visited in
+  // hash-rank order each round), which the event loop replaced.
+  const std::vector<NodeId> serial = {
+      15, 4,  7, 8,  2,  10, 12, 14, 6, 13, 9, 1,  3,  11, 0,  5,  8, 6,
+      13, 10, 4, 11, 5,  12, 14, 15, 3, 1,  2, 7,  0,  9,  15, 13, 8, 2,
+      4,  9,  7, 5,  0,  3,  1,  11, 12, 10, 6, 14, 1,  3,  3,  1,  9, 3,
+      9,  5,  3, 15, 9,  5,  15, 7,  15, 5,  7, 5,  7,  11, 9,  5,  11, 9};
+  EXPECT_EQ(executed_sequence(12, 3), serial);
+}
+
+/// The serial visit order of `round`, computed from its definition:
+/// nodes sorted by (hash_combine(hash_combine(order_seed, round), node),
+/// node), where order_seed = hash_combine(seed, hash_tag("order")).
+std::vector<NodeId> round_order(std::uint64_t seed, Round round,
+                                std::size_t nodes) {
+  const std::uint64_t round_seed =
+      hash_combine(hash_combine(seed, hash_tag("order")), round);
+  std::vector<std::pair<std::uint64_t, NodeId>> keyed;
+  for (std::size_t n = 0; n < nodes; ++n)
+    keyed.emplace_back(hash_combine(round_seed, n), static_cast<NodeId>(n));
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<NodeId> order;
+  for (const auto& [key, node] : keyed) order.push_back(node);
+  return order;
 }
 
 TEST(EventScheduler, PlainRunMatchesSerialWithoutQuiescence) {
-  std::vector<NodeId> serial_log, event_log;
-  {
-    Engine engine(32, 5);
-    install_counters(engine, &serial_log, 1 << 20);
-    for (int i = 0; i < 5; ++i) engine.step();
+  std::vector<NodeId> log;
+  Engine engine(32, 5);
+  install_counters(engine, &log, 1 << 20);
+  for (int i = 0; i < 5; ++i) engine.step();
+
+  std::vector<NodeId> expected;
+  for (Round r = 0; r < 5; ++r) {
+    const std::vector<NodeId> order = round_order(5, r, 32);
+    expected.insert(expected.end(), order.begin(), order.end());
   }
-  {
-    Engine engine(32, 5);
-    engine.enable_event_scheduler();
-    install_counters(engine, &event_log, 1 << 20);
-    for (int i = 0; i < 5; ++i) engine.step();
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(log.size(), 160u);
+}
+
+/// Logs every execute; when `trigger` runs in round 0, switches every node
+/// in `targets` back to kActive.
+class SwitchOnProtocol final : public Protocol {
+ public:
+  SwitchOnProtocol(std::vector<NodeId>* log, NodeId trigger,
+                   std::vector<NodeId> targets)
+      : log_(log), trigger_(trigger), targets_(std::move(targets)) {}
+
+  void execute(Engine& engine, NodeId self, const PeerSet&) override {
+    log_->push_back(self);
+    if (self != trigger_ || engine.current_round() != 0) return;
+    for (NodeId t : targets_) engine.set_status(t, NodeStatus::kActive);
   }
-  EXPECT_EQ(serial_log, event_log);
-  EXPECT_EQ(serial_log.size(), 160u);
+
+ private:
+  std::vector<NodeId>* log_;
+  NodeId trigger_;
+  std::vector<NodeId> targets_;
+};
+
+TEST(EventScheduler, NodeSwitchedOnMidRoundRunsIffItsRankIsAhead) {
+  // Two sleeping nodes are switched back on by the node at rank 8 of
+  // round 0: the one ranked after it still runs this round, the one
+  // ranked before it first runs in round 1 — the serial visit rule.
+  constexpr std::size_t kNodes = 16;
+  const std::vector<NodeId> order0 = round_order(3, 0, kNodes);
+  const NodeId trigger = order0[8];
+  const NodeId ahead = order0[12];
+  const NodeId behind = order0[3];
+
+  Engine engine(kNodes, 3);
+  std::vector<NodeId> log;
+  engine.add_protocol_pool<SwitchOnProtocol>([&](NodeId) {
+    return SwitchOnProtocol(&log, trigger, {behind, ahead});
+  });
+  engine.set_status(ahead, NodeStatus::kSleeping);
+  engine.set_status(behind, NodeStatus::kSleeping);
+  engine.step();
+  engine.step();
+
+  std::vector<NodeId> expected;
+  for (const NodeId n : order0)
+    if (n != behind) expected.push_back(n);
+  const std::vector<NodeId> order1 = round_order(3, 1, kNodes);
+  expected.insert(expected.end(), order1.begin(), order1.end());
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(engine.active_count(), kNodes);
 }
 
 }  // namespace
