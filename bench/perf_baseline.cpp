@@ -9,12 +9,13 @@
 //   build-release/bench/perf_baseline [label] >> /dev/stdout
 //
 // With --scale [label] it sweeps cluster sizes 1k/10k/100k PMs, timing
-// the serial reference engine (quiescence off) against the event-driven
-// engine with quiescence on (DESIGN.md §12) on a stable-heavy workload,
-// and reports rounds/sec, speedup, mean parked fraction and RSS. The
-// record is collected in BENCH_scale.json and mirrored to
-// results/perf_scale.json. Sizes run ascending because VmHWM (the peak
-// RSS readout) is monotone within a process.
+// quiescence off against quiescence on (DESIGN.md §12) on a stable-heavy
+// workload, and reports rounds/sec, speedup, mean parked fraction and
+// RSS. The record is collected in BENCH_scale.json and mirrored to
+// results/perf_scale.json; its keys keep their historical names, so
+// "serial" is the quiescence-off run and "event" the quiescence-on run.
+// Sizes run ascending because VmHWM (the peak RSS readout) is monotone
+// within a process.
 //
 // Build in Release (-O3); see scripts/ci.sh and README "Performance".
 //
@@ -140,7 +141,7 @@ double time_end_to_end(double* out_rounds) {
   return total_rounds / elapsed;
 }
 
-// ---- --scale: serial vs event+quiescence across cluster sizes ----------
+// ---- --scale: quiescence off vs on across cluster sizes ----------------
 
 /// Reads a "Key:  <n> kB" line from /proc/self/status, in MiB (0.0 when
 /// unavailable, e.g. non-Linux hosts).
@@ -176,13 +177,12 @@ struct ScaleRun {
   std::uint32_t final_active_pms = 0;
 };
 
-/// One GLAP run for the scale sweep. `event` selects the event-driven
-/// scheduler with quiescence on; otherwise the serial reference engine
-/// with quiescence off. Workload is stable-heavy: the quiescence payoff
-/// targets steady-state fleets, and the demand-epsilon wake rule needs
-/// most VMs to sit inside the epsilon band.
+/// One GLAP run for the scale sweep, with quiescence on or off.
+/// Workload is stable-heavy: the quiescence payoff targets steady-state
+/// fleets, and the demand-epsilon wake rule needs most VMs to sit inside
+/// the epsilon band.
 ScaleRun run_scale_cell(std::size_t pm_count, sim::Round warmup,
-                        sim::Round eval, bool event) {
+                        sim::Round eval, bool quiesce) {
   harness::ExperimentConfig config;
   config.algorithm = harness::Algorithm::kGlap;
   config.pm_count = pm_count;
@@ -193,8 +193,7 @@ ScaleRun run_scale_cell(std::size_t pm_count, sim::Round warmup,
   config.workload.w_random_walk = 0.10;
   config.workload.w_bursty = 0.04;
   config.workload.w_spike = 0.01;
-  if (event) {
-    config.event_engine = true;
+  if (quiesce) {
     config.glap.quiescence.enabled = true;
     config.glap.quiescence.demand_epsilon = 0.15;
     config.glap.quiescence.idle_rounds = 8;
@@ -231,7 +230,7 @@ int run_scale(const std::string& label) {
 
   harness::BenchReport report(
       "perf_scale",
-      "Scale sweep — serial engine vs event engine + quiescence "
+      "Scale sweep — quiescence off (serial) vs on (event) "
       "(host-dependent)");
   report.add_headline("label", label);
   report.add_headline("machine", cpu_model_name());
@@ -245,13 +244,13 @@ int run_scale(const std::string& label) {
   std::printf("  \"host_hardware_threads\": %u,\n",
               std::thread::hardware_concurrency());
   for (const Size& size : sizes) {
-    std::fprintf(stderr, "[perf_baseline] %s serial...\n", size.name);
-    const ScaleRun serial =
-        run_scale_cell(size.pms, size.warmup, size.eval, /*event=*/false);
-    std::fprintf(stderr, "[perf_baseline] %s event+quiescence...\n",
+    std::fprintf(stderr, "[perf_baseline] %s quiescence off...\n",
                  size.name);
+    const ScaleRun serial =
+        run_scale_cell(size.pms, size.warmup, size.eval, /*quiesce=*/false);
+    std::fprintf(stderr, "[perf_baseline] %s quiescence on...\n", size.name);
     const ScaleRun event =
-        run_scale_cell(size.pms, size.warmup, size.eval, /*event=*/true);
+        run_scale_cell(size.pms, size.warmup, size.eval, /*quiesce=*/true);
     const double speedup = event.rounds_per_sec / serial.rounds_per_sec;
 
     std::printf("  \"%s_rounds\": %u,\n", size.name,

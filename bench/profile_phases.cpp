@@ -4,8 +4,8 @@
 // Three tables land in results/profile_phases.json:
 //
 //   counts  — phase call counts. Deterministic: a pure function of
-//             (config, seed), identical for the serial and event
-//             engines, so EXPERIMENTS.md drift-checks this table.
+//             (config, seed), so EXPERIMENTS.md drift-checks this
+//             table.
 //   wall    — every phase with wall-clock totals and ns/call. Wall time
 //             is host-dependent; this table is reported but never
 //             drift-checked.

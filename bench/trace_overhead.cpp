@@ -7,7 +7,7 @@
 // slow run cannot move. None depends on the host:
 //
 //   1. enabled-cost gate: at 150 PMs (the BENCH_engine.json glap_150pm
-//      shape, 200 warmup + 150 eval rounds, serial engine), rounds/sec
+//      shape, 200 warmup + 150 eval rounds, quiescence off), rounds/sec
 //      with metrics + full JSONL tracing on over tracing off, median of
 //      7 pairs >= --min-on-ratio (default 0.5);
 //   2. flight-recorder gate: the always-on recorder's cost at 150 PMs,
@@ -19,13 +19,13 @@
 //      0.9) — the registry's counters and histograms are the only
 //      instrumentation on that path, and they must cost no more than a
 //      few percent;
-//   4. scale gate: at 10k PMs on the event engine with quiescence (the
-//      CI scale-smoke shape), a sampled GTB trace (5% shuffle keep,
-//      DESIGN.md §10.6) must come out at least --min-size-ratio (default
-//      10) x smaller than the full JSONL trace of the same run, and
-//      sampled over tracing-off rounds/sec, median of 5 pairs, must stay
-//      >= --min-sampled-ratio (default 0.95) — compact sampled tracing is
-//      near-free at scale.
+//   4. scale gate: at 10k PMs with quiescence on (the CI scale-smoke
+//      shape), a sampled GTB trace (5% shuffle keep, DESIGN.md §10.6)
+//      must come out at least --min-size-ratio (default 10) x smaller
+//      than the full JSONL trace of the same run, and sampled over
+//      tracing-off rounds/sec, median of 5 pairs, must stay
+//      >= --min-sampled-ratio (default 0.95) — compact sampled tracing
+//      is near-free at scale.
 //
 // Each gate's median, min and max ratio and its per-pair table land in
 // results/trace_overhead.json.
@@ -74,7 +74,7 @@ harness::ExperimentConfig metrics_config(bool metrics_on) {
   return config;
 }
 
-/// The 10k-PM event-engine shape of the CI scale smoke; a non-null
+/// The 10k-PM quiescent shape of the CI scale smoke; a non-null
 /// `sink` receives the trace, sampled GTB when `sampled` is set.
 harness::ExperimentConfig scale_config(std::ostringstream* sink,
                                        bool sampled) {
@@ -83,7 +83,6 @@ harness::ExperimentConfig scale_config(std::ostringstream* sink,
   config.pm_count = 10000;
   config.warmup_rounds = 40;
   config.rounds = 30;
-  config.event_engine = true;
   config.glap.quiescence.enabled = true;
   config.glap.quiescence.demand_epsilon = 0.15;
   config.glap.quiescence.idle_rounds = 8;

@@ -58,10 +58,10 @@
 # AddressSanitizer + UndefinedBehaviorSanitizer build (UB reports are
 # fatal via -fno-sanitize-recover=all); runs the full ctest suite.
 #
-# Stage 9 (scale smoke): a 10k-PM GLAP run on the event-driven engine
-# with quiescence enabled (DESIGN.md §12) must finish inside a
-# wall-clock budget (SCALE_SMOKE_BUDGET_S, default 150 s — ~10x the
-# reference container's time, so it only trips on real regressions),
+# Stage 9 (scale smoke): a 10k-PM GLAP run with quiescence enabled
+# (DESIGN.md §12) must finish inside a wall-clock budget
+# (SCALE_SMOKE_BUDGET_S, default 150 s — ~10x the reference
+# container's time, so it only trips on real regressions),
 # and its trace — including the activity park/wake events — must pass
 # `glap-trace check`. A second, shorter run with --binary and
 # --flight-dump verifies the always-on flight recorder leaves a
@@ -199,17 +199,17 @@ if [[ "${RUN_TRACE_VERIFY:-1}" == "1" ]]; then
 fi
 
 if [[ "${RUN_SCALE_SMOKE:-1}" == "1" ]]; then
-  echo "== scale smoke: 10k-PM event-engine run + trace check =="
+  echo "== scale smoke: 10k-PM quiescent run + trace check =="
   GLAP_TRACE=./build-release/tools/glap-trace
   SMOKE_TRACE=build-release/trace_scale_smoke.jsonl
   SMOKE_BUDGET_S="${SCALE_SMOKE_BUDGET_S:-150}"
   smoke_start=$(date +%s)
   "$GLAP_TRACE" gen "$SMOKE_TRACE" --pms 10000 --warmup 40 --rounds 40 \
-    --event --quiesce
+    --quiesce
   smoke_elapsed=$(( $(date +%s) - smoke_start ))
   if (( smoke_elapsed > SMOKE_BUDGET_S )); then
     echo "scale smoke took ${smoke_elapsed}s (budget ${SMOKE_BUDGET_S}s):" \
-         "the event engine has regressed at 10k PMs" >&2
+         "the engine has regressed at 10k PMs" >&2
     exit 1
   fi
   echo "scale smoke finished in ${smoke_elapsed}s (budget ${SMOKE_BUDGET_S}s)"
@@ -224,7 +224,7 @@ if [[ "${RUN_SCALE_SMOKE:-1}" == "1" ]]; then
   # invariants don't apply). The dump is what a crashed run would leave.
   FLIGHT_DUMP=build-release/flight_scale_smoke.gtb
   "$GLAP_TRACE" gen "$SMOKE_TRACE" --pms 10000 --warmup 40 --rounds 8 \
-    --event --quiesce --binary --flight-dump "$FLIGHT_DUMP"
+    --quiesce --binary --flight-dump "$FLIGHT_DUMP"
   "$GLAP_TRACE" stats "$FLIGHT_DUMP" >/dev/null
   echo "flight dump parsed cleanly ($(stat -c %s "$FLIGHT_DUMP") bytes)"
   rm -f "$SMOKE_TRACE" "$FLIGHT_DUMP"

@@ -4,8 +4,7 @@
 //
 // Every instrument is written by the single thread that runs the
 // simulation, in execution order, so metric output is a pure function of
-// (config, seed) — identical between the serial and event engines
-// (DESIGN.md §10). Gauges and series are written by the harness between
+// (config, seed) (DESIGN.md §10). Gauges and series are written by the harness between
 // rounds; counters and histograms also from inside interactions.
 //
 // Instruments live in deques so the pointers callers cache stay stable.

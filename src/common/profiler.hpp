@@ -4,9 +4,8 @@
 // The profile splits into two halves with different guarantees:
 //
 //   * phase CALL COUNTS for the commit phase and per-protocol-slot
-//     execute bodies are a pure function of (config, seed) — identical
-//     between the serial and event engines, and part of the metric
-//     snapshot identity contract when published;
+//     execute bodies are a pure function of (config, seed), and part of
+//     the metric snapshot identity contract when published;
 //   * WALL-CLOCK nanoseconds are host-dependent, so they are reported
 //     separately and never enter any bit-identity comparison.
 //

@@ -11,9 +11,12 @@
 //
 // Every field is one of five types (namespace field below): a signed or
 // unsigned 64-bit integer, a double, a bool, or a one-byte code whose
-// JSONL spelling comes from a name table. The name tables are declared
-// here as well; an empty name marks a code with no wire meaning, and both
-// readers reject it.
+// JSONL spelling comes from a name table. Each coded enum is declared
+// here together with its name table, from one X-macro list, so the two
+// cannot drift apart — including the three that layers above common/
+// use: sim::WakeReason, net::Channel and net::DropReason are aliases of
+// the enums below. An empty name marks a code with no wire meaning, and
+// both readers reject it.
 #pragma once
 
 #include <cstddef>
@@ -91,29 +94,62 @@ inline constexpr std::string_view kNetLinkNames[] = {
     GLAP_TRACE_NET_LINKS(GLAP_TRACE_NAME)};
 inline constexpr NameTable kNetLinks{"net link", kNetLinkNames};
 
-#undef GLAP_TRACE_ENUMERATOR
-#undef GLAP_TRACE_NAME
+/// Traffic class of a "net" send (net::Channel):
+///   kShuffle        overlay membership (Cyclon/Newscast)
+///   kLearning       GLAP workload-profile fetch
+///   kAggregation    GLAP Q-table push-pull
+///   kConsolidation  GLAP/GRMP state exchange
+///   kProbe          EcoCloud placement probes
+///   kMigration      live-migration payload (pre-copy stream)
+#define GLAP_TRACE_CHANNELS(X)                                            \
+  X(kShuffle, "shuffle") X(kLearning, "learning")                         \
+  X(kAggregation, "aggregation") X(kConsolidation, "consolidation")       \
+  X(kProbe, "probe") X(kMigration, "migration")
 
-// The next three tables name enums that live downstream of common/: the
-// code is the enumerator's value, in declaration order. glap-lint's
-// table-sync rule checks every enumerator has its name here.
-
-/// net::Channel.
+enum class Channel : std::uint8_t {
+  GLAP_TRACE_CHANNELS(GLAP_TRACE_ENUMERATOR)
+};
 inline constexpr std::string_view kChannelNames[] = {
-    "shuffle", "learning", "aggregation", "consolidation", "probe",
-    "migration"};
+    GLAP_TRACE_CHANNELS(GLAP_TRACE_NAME)};
 inline constexpr NameTable kChannels{"net channel", kChannelNames};
 
-/// net::DropReason; code 0 (kNone) never reaches the wire.
-inline constexpr std::string_view kDropReasonNames[] = {"", "loss",
-                                                        "congestion"};
+/// Why a message was dropped (net::DropReason); kNone never reaches the
+/// wire.
+#define GLAP_TRACE_DROP_REASONS(X) \
+  X(kNone, "") X(kLoss, "loss") X(kCongestion, "congestion")
+
+enum class DropReason : std::uint8_t {
+  GLAP_TRACE_DROP_REASONS(GLAP_TRACE_ENUMERATOR)
+};
+inline constexpr std::string_view kDropReasonNames[] = {
+    GLAP_TRACE_DROP_REASONS(GLAP_TRACE_NAME)};
 inline constexpr NameTable kDropReasons{"net drop reason", kDropReasonNames};
 
-/// sim::WakeReason: "converged" tags a park, the rest tag a wake.
+/// Cause of a quiescence transition (sim::WakeReason, DESIGN.md §12).
+/// kConverged tags the park itself; the rest tag what re-activated a
+/// parked node:
+///   kConverged  every protocol slot voted can_quiesce
+///   kGossip     an incoming gossip exchange touched the node's state
+///   kDemand     a hosted VM's demand moved past the wake epsilon
+///   kMigration  a migration / placement / departure landed on the PM
+///   kStatus     lifecycle transition (sleep/wake/fail)
+///   kSchedule   round-indexed re-check fired (Engine::schedule_wake)
+///   kRelearn    fleet-wide re-learning trigger
+///   kNetwork    a delayed network delivery came due (DESIGN.md §13)
+#define GLAP_TRACE_WAKE_REASONS(X)                                        \
+  X(kConverged, "converged") X(kGossip, "gossip") X(kDemand, "demand")    \
+  X(kMigration, "migration") X(kStatus, "status")                         \
+  X(kSchedule, "schedule") X(kRelearn, "relearn") X(kNetwork, "network")
+
+enum class WakeReason : std::uint8_t {
+  GLAP_TRACE_WAKE_REASONS(GLAP_TRACE_ENUMERATOR)
+};
 inline constexpr std::string_view kWakeReasonNames[] = {
-    "converged", "gossip",   "demand",  "migration",
-    "status",    "schedule", "relearn", "network"};
+    GLAP_TRACE_WAKE_REASONS(GLAP_TRACE_NAME)};
 inline constexpr NameTable kWakeReasons{"activity reason", kWakeReasonNames};
+
+#undef GLAP_TRACE_ENUMERATOR
+#undef GLAP_TRACE_NAME
 
 // ---- field types ---------------------------------------------------------
 // Each fixes a field's storage, its JSONL spelling and its GTB width.

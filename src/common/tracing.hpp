@@ -5,8 +5,8 @@
 // Events emitted from inside engine interactions are buffered, as typed
 // TraceEvent records, in emit order and rendered at commit_round() with
 // the round number current at that point; the simulation runs on one
-// thread, so emit order is the execution order and the trace bytes are
-// identical between the serial and event engines in both formats.
+// thread, so emit order is the execution order and the trace bytes, in
+// both formats, are a pure function of (config, seed).
 //
 // Deterministic sampling (DESIGN.md §10.6): the high-volume interaction
 // kinds (shuffle, net) can be thinned by a keep-probability decided by a

@@ -29,9 +29,8 @@ struct RewardParams {
 /// enabled, a PM whose protocols unanimously report convergence is parked
 /// and skipped until a wake event (incoming gossip write, demand drift
 /// past `demand_epsilon`, migration arrival/departure, power transition,
-/// relearn trigger) re-activates it. The serial and event engines apply
-/// the policy identically, so at a fixed config every engine mode still
-/// produces field-identical results; *enabling* it changes the simulated
+/// relearn trigger) re-activates it. At a fixed config the results stay
+/// a pure function of the seed; *enabling* it changes the simulated
 /// trajectory — that skipped work is exactly the scalability payoff.
 ///
 /// Lives in core (not harness) because the convergence vote is GLAP's:

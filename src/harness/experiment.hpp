@@ -147,8 +147,7 @@ struct ObservabilityConfig {
 
   /// Collect the per-phase engine profile (execute/commit scoped timers,
   /// DESIGN.md §10.4), returned via RunResult::profile. Phase call counts
-  /// are deterministic (serial == event engine) and, when metrics are
-  /// also on, published as
+  /// are deterministic and, when metrics are also on, published as
   /// `profile.<phase>.calls` counters; wall-clock columns are
   /// host-dependent and stay out of every bit-identity contract.
   bool profile = false;
@@ -189,11 +188,9 @@ struct ExperimentConfig {
   /// it; the next change to the benchmark drops the field.
   std::size_t engine_threads = 1;
 
-  /// Event-driven scheduler (DESIGN.md §12): each round only the runnable
-  /// set (active, non-quiescent nodes) is keyed and executed. Results are
-  /// field-identical to the serial engine at the same configuration — the
-  /// payoff comes from combining it with glap.quiescence, which shrinks
-  /// the runnable set as nodes converge.
+  /// Read by nothing: the engine has one round loop, which always runs
+  /// only the runnable set. Kept only because the benchmark still sets
+  /// it; the next change to the benchmark drops the field.
   bool event_engine = false;
 
   /// Rack topology: 0 disables (no racks, no switch accounting). When

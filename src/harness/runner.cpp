@@ -110,7 +110,6 @@ RunResult run_experiment(const ExperimentConfig& config) {
   dc.place_randomly(placement_rng);
 
   sim::Engine engine(config.pm_count, config.seed);
-  if (config.event_engine) engine.enable_event_scheduler();
   const core::QuiescenceConfig& quiesce = config.glap.quiescence;
   if (quiesce.enabled) {
     engine.enable_quiescence(quiesce.recheck_rounds);
@@ -500,9 +499,8 @@ RunResult run_experiment(const ExperimentConfig& config) {
 
   if (profiler) {
     result.profile = profiler->totals();
-    // Phase call counts join the metric snapshot, so the existing
-    // serial-vs-event identity checks cover them. Wall-clock columns are
-    // host-dependent and stay out.
+    // Phase call counts join the metric snapshot, so the metric goldens
+    // cover them. Wall-clock columns are host-dependent and stay out.
     if (registry) {
       for (const auto& phase : result.profile)
         registry->counter("profile." + phase.label + ".calls")

@@ -12,8 +12,8 @@
 //
 // Determinism: the model holds no RNG stream. Loss decisions hash
 // (seed, msg_id) through splitmix64, and msg ids are assigned in executed
-// interaction order — identical between the serial and event engines,
-// whose executed sequences coincide (DESIGN.md §13.3).
+// interaction order, which is a pure function of (config, seed)
+// (DESIGN.md §13.3).
 #pragma once
 
 #include <cstddef>
@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/trace_schema.hpp"
 #include "sim/node.hpp"
 
 namespace glap::metrics {
@@ -63,20 +64,11 @@ struct NetworkConfig {
   bool migration_contention = true;
 };
 
-/// Traffic classes; "net" trace events carry the code, named by
-/// trace::kChannelNames (common/trace_schema.hpp).
-enum class Channel : std::uint8_t {
-  kShuffle = 0,       ///< overlay membership (Cyclon/Newscast)
-  kLearning = 1,      ///< GLAP workload-profile fetch
-  kAggregation = 2,   ///< GLAP Q-table push-pull
-  kConsolidation = 3, ///< GLAP/GRMP state exchange
-  kProbe = 4,         ///< EcoCloud placement probes
-  kMigration = 5,     ///< live-migration payload (pre-copy stream)
-};
-
-/// Why a message was dropped; "net" drop events carry the code, named by
-/// trace::kDropReasonNames.
-enum class DropReason : std::uint8_t { kNone = 0, kLoss = 1, kCongestion = 2 };
+/// Traffic classes and drop causes. "net" trace events carry both as
+/// codes, so they are declared with their names in
+/// common/trace_schema.hpp.
+using Channel = trace::Channel;
+using DropReason = trace::DropReason;
 
 /// Admission decision for one exchange.
 struct Verdict {

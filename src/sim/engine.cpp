@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <numeric>
 
 #include "common/profiler.hpp"
 #include "common/tracing.hpp"
@@ -19,14 +18,15 @@ constexpr Round kNeverInList = static_cast<Round>(-1);
 Engine::Engine(std::size_t node_count, std::uint64_t seed)
     : status_(node_count, NodeStatus::kActive),
       active_count_(node_count),
-      order_(node_count),
       rank_keys_(node_count),
       rng_(hash_combine(seed, hash_tag("engine"))),
-      order_seed_(hash_combine(seed, hash_tag("order"))) {
+      order_seed_(hash_combine(seed, hash_tag("order"))),
+      quiescent_(node_count, 0),
+      in_list_round_(node_count, kNeverInList) {
   GLAP_REQUIRE(node_count > 0, "engine needs at least one node");
   GLAP_REQUIRE(node_count < static_cast<std::size_t>(kInvalidNode),
                "too many nodes");
-  std::iota(order_.begin(), order_.end(), NodeId{0});
+  run_list_.reserve(node_count);
 }
 
 Engine::ProtocolSlot Engine::add_protocol_slot(
@@ -68,17 +68,9 @@ void Engine::add_observer(Observer* observer) {
   observers_.push_back(observer);
 }
 
-void Engine::enable_event_scheduler() {
-  event_mode_ = true;
-  run_list_.reserve(node_count());
-  in_list_round_.assign(node_count(), kNeverInList);
-  if (quiescent_.empty()) quiescent_.assign(node_count(), 0);
-}
-
 void Engine::enable_quiescence(Round recheck_rounds) {
   quiescence_ = true;
   recheck_rounds_ = recheck_rounds;
-  if (quiescent_.empty()) quiescent_.assign(node_count(), 0);
 }
 
 void Engine::set_status(NodeId node, NodeStatus status) {
@@ -95,8 +87,8 @@ void Engine::set_status(NodeId node, NodeStatus status) {
   if (status == NodeStatus::kActive) {
     ++active_count_;
     // A node switched back on mid-round joins the remaining schedule iff
-    // its rank has not passed — the serial engine's visit rule.
-    if (event_mode_ && in_round_) insert_runnable(node);
+    // its rank has not passed.
+    if (in_round_) insert_runnable(node);
   }
   for (auto& slot : slots_)
     slot.instances[node]->on_status_change(*this, node, status);
@@ -108,7 +100,7 @@ void Engine::trace_activity(NodeId node, bool awake, WakeReason reason) {
 }
 
 bool Engine::clear_quiescent(NodeId node, WakeReason reason) {
-  if (quiescent_.empty() || quiescent_[node] == 0) return false;
+  if (quiescent_[node] == 0) return false;
   quiescent_[node] = 0;
   --quiescent_count_;
   trace_activity(node, /*awake=*/true, reason);
@@ -118,7 +110,7 @@ bool Engine::clear_quiescent(NodeId node, WakeReason reason) {
 void Engine::wake(NodeId node, WakeReason reason) {
   GLAP_REQUIRE(node < status_.size(), "node id out of range");
   if (!clear_quiescent(node, reason)) return;
-  if (event_mode_ && in_round_) insert_runnable(node);
+  if (in_round_) insert_runnable(node);
 }
 
 void Engine::wake_all(WakeReason reason) {
@@ -156,18 +148,6 @@ bool Engine::poll_quiesce(NodeId node) {
   return true;
 }
 
-void Engine::compute_round_order() {
-  // Counter-based hash rank: a deterministic permutation per (seed, round)
-  // that all execution modes share, independent of any RNG stream state.
-  round_seed_cur_ = hash_combine(order_seed_, round_);
-  for (std::size_t node = 0; node < rank_keys_.size(); ++node)
-    rank_keys_[node] = hash_combine(round_seed_cur_, node);
-  std::sort(order_.begin(), order_.end(), [this](NodeId a, NodeId b) {
-    return rank_keys_[a] != rank_keys_[b] ? rank_keys_[a] < rank_keys_[b]
-                                            : a < b;
-  });
-}
-
 void Engine::execute_node(NodeId node) {
   static const PeerSet kNoPeers;
   for (std::size_t s = 0; s < slots_.size(); ++s) {
@@ -179,22 +159,13 @@ void Engine::execute_node(NodeId node) {
   }
 }
 
-void Engine::run_round_serial() {
-  for (const NodeId node : order_) {
-    if (status_[node] != NodeStatus::kActive) continue;
-    if (quiescence_ && quiescent_[node] != 0) continue;
-    execute_node(node);
-    if (quiescence_) poll_quiesce(node);
-  }
-}
-
-void Engine::run_round_event() {
+void Engine::run_round() {
   // Runnable subset only: key, sort and visit the nodes that can actually
   // run. Parked and non-active nodes pay nothing this round.
   run_list_.clear();
   for (std::size_t node = 0; node < status_.size(); ++node) {
-    if (status_[node] != NodeStatus::kActive) continue;
-    if (!quiescent_.empty() && quiescent_[node] != 0) continue;
+    if (status_[node] != NodeStatus::kActive || quiescent_[node] != 0)
+      continue;
     run_list_.push_back(static_cast<NodeId>(node));
     rank_keys_[node] = hash_combine(round_seed_cur_, node);
     in_list_round_[node] = round_;
@@ -207,7 +178,7 @@ void Engine::run_round_event() {
   for (run_cursor_ = 0; run_cursor_ < run_list_.size(); ++run_cursor_) {
     const NodeId node = run_list_[run_cursor_];
     // Status may have flipped since scheduling (a peer put the node to
-    // sleep mid-round) — same skip the serial visit applies.
+    // sleep mid-round).
     if (status_[node] != NodeStatus::kActive) continue;
     if (quiescent_[node] != 0) continue;
     execute_node(node);
@@ -218,13 +189,12 @@ void Engine::run_round_event() {
 
 void Engine::insert_runnable(NodeId node) {
   // Already scheduled this round (visited or still ahead of the cursor):
-  // the serial engine would not visit it twice either.
+  // a node runs at most once per round.
   if (in_list_round_[node] == round_) return;
   const std::uint64_t key = hash_combine(round_seed_cur_, node);
   rank_keys_[node] = key;
   const NodeId current = run_list_[run_cursor_];
-  // Rank already passed (or ties the executing node): runs next round,
-  // exactly like a serial wake landing behind the visit cursor.
+  // Rank already passed (or ties the executing node): runs next round.
   if (key < rank_keys_[current] ||
       (key == rank_keys_[current] && node <= current))
     return;
@@ -242,12 +212,7 @@ void Engine::insert_runnable(NodeId node) {
 void Engine::step() {
   round_seed_cur_ = hash_combine(order_seed_, round_);
   drain_wake_queue();
-  if (event_mode_) {
-    run_round_event();
-  } else {
-    compute_round_order();
-    run_round_serial();
-  }
+  run_round();
   ++round_;
   for (Observer* obs : observers_) {
     if (!obs->on_round_end(*this, round_)) stop_requested_ = true;

@@ -6,33 +6,25 @@
 //   engine.add_observer(&metrics);
 //   engine.run(720);
 //
-// Per round the engine orders nodes by a counter-based hash of
-// (seed, round, node) — a deterministic per-round permutation, so no node
-// systematically initiates first — invokes every installed protocol slot on
-// every active node, then runs observers. Node status transitions (sleep
-// for switched-off PMs, wake, fail) are applied immediately and broadcast
-// to the node's protocol instances so overlays can drop dead links.
+// One round loop, as in PeerSim's cycle-driven simulator: each round
+// the engine collects the runnable set (active nodes that are not
+// parked), orders it by a counter-based hash of (seed, round, node) — a
+// deterministic per-round permutation, so no node systematically
+// initiates first — and invokes every installed protocol slot on each
+// node in that order, then runs the observers. Node status transitions
+// (sleep for switched-off PMs, wake, fail) are applied immediately and
+// broadcast to the node's protocol instances so overlays can drop dead
+// links. A node that becomes runnable mid-round (switched back on, or
+// woken) joins the remaining schedule at its rank position, or runs next
+// round if its rank has already passed. Each simulation runs on one
+// thread.
 //
-// Execution modes (each simulation runs on one thread):
-//   * Serial (default, the reference semantics): nodes run one after the
-//     other in rank order.
-//   * Event-driven (enable_event_scheduler): instead of scanning every
-//     node each round, the engine keeps a runnable set (active nodes that
-//     are not quiescent), sorts only that subset by the shared hash-rank
-//     keys, and executes it in rank order. Mid-round activations insert
-//     into the remaining schedule at their rank position (or carry to the
-//     next round when their rank has already passed), so the executed
-//     sequence is exactly the serial engine's executed sequence at the
-//     same configuration — field-identical results, including profiler
-//     call counts (tests/integration/test_determinism.cpp).
-//
-// Quiescence (enable_quiescence, DESIGN.md §12) is a *configuration-level*
-// semantic, orthogonal to the execution mode: after a node executes, every
-// installed slot is polled via Protocol::can_quiesce, and a unanimous vote
-// parks the node — it is skipped until wake()/schedule_wake()/set_status
-// re-activates it. Both the serial and event engines apply the same rule,
-// so any (mode A, mode B) pair at a fixed config stays field-identical;
-// the event engine merely skips parked nodes without visiting them.
+// Quiescence (enable_quiescence, DESIGN.md §12) is the only switch:
+// after a node executes, every installed slot is polled via
+// Protocol::can_quiesce, and a unanimous vote parks the node — it leaves
+// the runnable set until wake()/schedule_wake()/set_status re-activates
+// it. With quiescence off no node ever parks, so every active node runs
+// every round.
 // Protocol storage is struct-of-arrays: each slot owns one contiguous
 // arena of concrete protocol objects (add_protocol_pool) plus a flat
 // per-node pointer array scanned on the hot path.
@@ -170,21 +162,17 @@ class Engine {
   /// Registers an observer (not owned). Observers run in add order.
   void add_observer(Observer* observer);
 
-  /// Switches step() to event-driven execution: only the runnable set
-  /// (active, non-quiescent nodes) is keyed, sorted and executed each
-  /// round; mid-round activations insert at their rank position. Executed
-  /// sequences — and therefore all results — are identical to the serial
-  /// engine at the same configuration.
-  void enable_event_scheduler();
-
-  [[nodiscard]] bool event_mode() const noexcept { return event_mode_; }
+  /// Does nothing: there is one round loop, and it always runs the
+  /// runnable set. Kept only because perfbench/glap_perfbench.cpp still
+  /// calls it; the next change to the benchmark drops the call, and then
+  /// this goes too.
+  void enable_event_scheduler() noexcept {}
 
   /// Enables the quiescence semantic: after a node executes, its slots are
   /// polled via Protocol::can_quiesce and a unanimous vote parks it until
   /// an event re-activates it. `recheck_rounds` > 0 additionally schedules
   /// a wake `recheck_rounds` rounds after each parking, so no node stays
-  /// parked unobserved forever (0 disables the heartbeat). Applies
-  /// identically under serial and event execution.
+  /// parked unobserved forever (0 disables the heartbeat).
   void enable_quiescence(Round recheck_rounds = 0);
 
   [[nodiscard]] bool quiescence_enabled() const noexcept {
@@ -194,7 +182,7 @@ class Engine {
   /// True while `node` is parked by a unanimous can_quiesce vote.
   [[nodiscard]] bool is_quiescent(NodeId node) const {
     GLAP_REQUIRE(node < status_.size(), "node id out of range");
-    return !quiescent_.empty() && quiescent_[node] != 0;
+    return quiescent_[node] != 0;
   }
 
   /// Number of nodes currently parked by can_quiesce votes. Nodes skipped
@@ -204,11 +192,10 @@ class Engine {
     return quiescent_count_;
   }
 
-  /// Re-activates a parked node immediately. While a round is in flight
-  /// under the event scheduler, the node is inserted into the remaining
-  /// schedule iff its rank has not passed yet — exactly when the serial
-  /// engine would still visit it this round. No-op on nodes that are not
-  /// parked, so callers may signal unconditionally.
+  /// Re-activates a parked node immediately. While a round is in flight,
+  /// the node is inserted into the remaining schedule iff its rank has
+  /// not passed yet. No-op on nodes that are not parked, so callers may
+  /// signal unconditionally.
   void wake(NodeId node, WakeReason reason);
 
   /// Enqueues a wake for the start of `round` (or the next round start if
@@ -361,11 +348,8 @@ class Engine {
   /// Registers a finished Slot and its (empty) view set; returns its index.
   ProtocolSlot push_slot(Slot slot);
 
-  /// Recomputes order_ for the current round (hash-rank permutation).
-  void compute_round_order();
-
-  void run_round_serial();
-  void run_round_event();
+  /// Keys, sorts and executes this round's runnable set.
+  void run_round();
 
   /// Quiescence vote after `node` executed: parks it when every slot
   /// agrees. Returns true when the node was parked.
@@ -375,8 +359,8 @@ class Engine {
   /// driver context — events sort ahead of all execution this round).
   void drain_wake_queue();
 
-  /// Event-mode mid-round activation: inserts `node` into the remaining
-  /// schedule at its rank position unless its rank already passed.
+  /// Mid-round activation: inserts `node` into the remaining schedule at
+  /// its rank position unless its rank already passed.
   void insert_runnable(NodeId node);
 
   /// Clears a node's parked bit (if set) and emits the activity event.
@@ -395,7 +379,6 @@ class Engine {
   /// Typed views per slot (parallel to slots_); a handful per slot at most.
   std::vector<std::vector<TypedView>> views_;
   std::vector<Observer*> observers_;
-  std::vector<NodeId> order_;
   std::vector<std::uint64_t> rank_keys_;  ///< per-node sort key, scratch
   NetworkStats network_;
   metrics::MetricsRegistry* metrics_ = nullptr;
@@ -407,15 +390,14 @@ class Engine {
   Round round_ = 0;
   bool stop_requested_ = false;
 
-  // --- quiescence + event-scheduler state ---
-  bool event_mode_ = false;
+  // --- quiescence + schedule state ---
   bool quiescence_ = false;
   Round recheck_rounds_ = 0;
   std::vector<std::uint8_t> quiescent_;  ///< parked by can_quiesce vote
   std::size_t quiescent_count_ = 0;
   std::uint64_t round_seed_cur_ = 0;  ///< this round's hash-rank seed
-  bool in_round_ = false;             ///< event round in flight
-  std::vector<NodeId> run_list_;      ///< event-mode schedule, rank order
+  bool in_round_ = false;             ///< round in flight
+  std::vector<NodeId> run_list_;      ///< this round's schedule, rank order
   std::size_t run_cursor_ = 0;        ///< index currently executing
   std::vector<Round> in_list_round_;  ///< run_list_ membership stamp
   /// Pending schedule_wake entries, a min-heap on (round, node, reason).

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 
+#include "common/trace_schema.hpp"
+
 namespace glap::sim {
 
 using NodeId = std::uint32_t;
@@ -17,31 +19,9 @@ inline constexpr NodeId kInvalidNode = static_cast<NodeId>(-1);
 ///  - Failed:   crashed; never comes back (used by failure-injection tests).
 enum class NodeStatus : std::uint8_t { kActive, kSleeping, kFailed };
 
-[[nodiscard]] constexpr const char* to_string(NodeStatus s) noexcept {
-  switch (s) {
-    case NodeStatus::kActive:
-      return "active";
-    case NodeStatus::kSleeping:
-      return "sleeping";
-    case NodeStatus::kFailed:
-      return "failed";
-  }
-  return "?";
-}
-
 /// Cause attached to a quiescence/activity transition (DESIGN.md §12).
-/// kConverged tags the parking transition itself; the rest tag the event
-/// that re-activated a quiescent node. "activity" trace events carry the
-/// code, named by trace::kWakeReasonNames (common/trace_schema.hpp).
-enum class WakeReason : std::uint8_t {
-  kConverged,  ///< every protocol slot voted can_quiesce — node parked
-  kGossip,     ///< an incoming gossip exchange touched the node's state
-  kDemand,     ///< a hosted VM's demand moved past the wake epsilon
-  kMigration,  ///< a migration / placement / departure landed on the PM
-  kStatus,     ///< lifecycle transition (sleep/wake/fail)
-  kSchedule,   ///< round-indexed re-check fired (Engine::schedule_wake)
-  kRelearn,    ///< fleet-wide re-learning trigger
-  kNetwork,    ///< a delayed network delivery came due (DESIGN.md §13)
-};
+/// "activity" trace events carry it as a code, so it is declared with its
+/// names in common/trace_schema.hpp.
+using WakeReason = trace::WakeReason;
 
 }  // namespace glap::sim

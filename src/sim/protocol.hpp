@@ -1,14 +1,13 @@
 // Protocol and Observer interfaces for the cycle-driven engine.
 //
 // This mirrors PeerSim's CDSim model: every node owns one instance of each
-// installed protocol; once per round the engine invokes the active nodes'
-// instances in a deterministic per-round order. Protocol instances interact
-// by directly invoking methods on peer instances (fetched through
-// Engine::protocol_at), which models a synchronous request/response within
-// the round — exactly how PeerSim cycle-driven protocols are written.
-//
-// Each round the engine calls execute(engine, self, peers) once per active
-// node, in the round's rank order, on one thread.
+// installed protocol, and the engine's one round loop invokes the
+// runnable nodes' instances (active, and not parked by a can_quiesce vote)
+// once per round, in a deterministic per-round rank order, on one thread.
+// Protocol instances interact by directly invoking methods on peer
+// instances (fetched through Engine::protocol_at), which models a
+// synchronous request/response within the round — exactly how PeerSim
+// cycle-driven protocols are written.
 #pragma once
 
 #include "sim/node.hpp"

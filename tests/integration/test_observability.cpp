@@ -1,12 +1,12 @@
-// Observability integration: the traces of a tiny 8-PM GLAP run and of a
-// 24-PM quiescent, lossy, churning run match committed golden files
-// byte-for-byte, and metric/trace output is bit-identical between the
-// serial and event engines.
+// Observability integration: the traces of a tiny 8-PM GLAP run, of a
+// 24-PM quiescent, lossy, churning run and of a 32-PM profiled run, and
+// the 32-PM run's metric snapshot, match committed golden files
+// byte-for-byte.
 //
-// Regenerate the golden files after an intentional trace-schema change:
+// Regenerate the golden files after an intentional trace-schema change
+// (from the repo root):
 //
-//   GLAP_UPDATE_GOLDEN=1 ./build/tests/test_integration \
-//       --gtest_filter='Observability.*GoldenFile'
+//   GLAP_UPDATE_GOLDEN=1 ./build/tests/test_integration --gtest_filter='Observability.*'
 #include <gtest/gtest.h>
 
 #include <array>
@@ -81,11 +81,11 @@ TEST(Observability, GtbTraceMatchesGoldenFile) {
       "with GLAP_UPDATE_GOLDEN=1 (and check the JSONL golden too)");
 }
 
-// The 8-PM golden never reaches the event scheduler, quiescence, the
-// message-level network or churn. This run does: the event engine with
-// parking and a recheck heartbeat, a 1%-lossy fabric, and VM churn fast
-// enough to retrigger learning, so its trace carries activity, net and
-// relearn lines next to the migration and power ones.
+// The 8-PM golden never reaches quiescence, the message-level network or
+// churn. This run does: parking with a recheck heartbeat, a 1%-lossy
+// fabric, and VM churn fast enough to retrigger learning, so its trace
+// carries activity, net and relearn lines next to the migration and
+// power ones.
 ExperimentConfig quiescent_lossy_churn_config() {
   ExperimentConfig config;
   config.algorithm = Algorithm::kGlap;
@@ -95,7 +95,6 @@ ExperimentConfig quiescent_lossy_churn_config() {
   config.rounds = 30;
   config.seed = 13;
   config.fit_glap_phases_to_warmup();
-  config.event_engine = true;
   config.glap.quiescence.enabled = true;
   config.glap.quiescence.idle_rounds = 3;
   config.glap.quiescence.demand_epsilon = 0.10;

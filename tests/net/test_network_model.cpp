@@ -250,9 +250,8 @@ TEST(NetworkModelTrace, EmitsSendDeliverDropAndQueueEvents) {
   EXPECT_NE(text.find("\"link\":\"uplink\""), std::string::npos);
 }
 
-// Trace events carry the enum values as codes; the schema's name tables
-// must list the names in declaration order (table-sync only checks that
-// each name is present).
+// Trace events carry the enum values as codes: both the codes and their
+// names are on the wire, so both are pinned here.
 TEST(NetworkModelTrace, ChannelAndDropReasonCodesNameTheSchemaEntries) {
   const std::pair<Channel, std::string_view> channels[] = {
       {Channel::kShuffle, "shuffle"},

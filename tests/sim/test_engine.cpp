@@ -183,11 +183,5 @@ TEST(NetworkStats, CountsMessagesAndBytes) {
   EXPECT_EQ(net.messages(), 0u);
 }
 
-TEST(NodeStatus, ToString) {
-  EXPECT_STREQ(to_string(NodeStatus::kActive), "active");
-  EXPECT_STREQ(to_string(NodeStatus::kSleeping), "sleeping");
-  EXPECT_STREQ(to_string(NodeStatus::kFailed), "failed");
-}
-
 }  // namespace
 }  // namespace glap::sim

@@ -195,7 +195,7 @@ TEST(LintRules, StaleAllowIsReportedUnderTheSuppressionRule) {
 TEST(LintRules, RuleCatalogueTiersAreStable) {
   std::map<std::string, std::string> tier;
   for (const RuleInfo& r : rules()) tier[r.name] = r.tier;
-  EXPECT_EQ(tier.size(), 14u);
+  EXPECT_EQ(tier.size(), 13u);
   EXPECT_EQ(tier.at("wall-clock"), "determinism");
   EXPECT_EQ(tier.at("banned-random"), "determinism");
   EXPECT_EQ(tier.at("unordered-iteration"), "determinism");
@@ -205,7 +205,6 @@ TEST(LintRules, RuleCatalogueTiersAreStable) {
   EXPECT_EQ(tier.at("trace-kind"), "safety");
   EXPECT_EQ(tier.at("checks-guard"), "safety");
   EXPECT_EQ(tier.at("float-narrowing"), "safety");
-  EXPECT_EQ(tier.at("table-sync"), "safety");
   EXPECT_EQ(tier.at("hot-alloc"), "perf");
   EXPECT_EQ(tier.at("layering"), "project");
   EXPECT_EQ(tier.at("include-hygiene"), "project");
@@ -215,7 +214,6 @@ TEST(LintRules, RuleCatalogueTiersAreStable) {
   // Project rules resolve suppressions at tree scope; per-file rules don't.
   EXPECT_TRUE(is_project_rule("layering"));
   EXPECT_TRUE(is_project_rule("wave-safety"));
-  EXPECT_TRUE(is_project_rule("table-sync"));
   EXPECT_TRUE(is_project_rule("include-hygiene"));
   EXPECT_FALSE(is_project_rule("hot-alloc"));
 }

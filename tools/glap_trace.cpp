@@ -13,7 +13,7 @@
 //   glap-trace convert  <in> <out> [--to jsonl|gtb]
 //   glap-trace gen      <out>   [--algorithm GLAP|GRMP|EcoCloud|PABFD]
 //                               [--pms N] [--ratio R] [--warmup N]
-//                               [--rounds N] [--seed S] [--event] [--quiesce]
+//                               [--rounds N] [--seed S] [--quiesce]
 //                               [--net] [--loss PCT] [--binary]
 //                               [--sample-shuffle PCT] [--sample-net PCT]
 //                               [--flight-dump PATH]
@@ -65,8 +65,8 @@ int usage() {
       "  convert  <in> <out> [--to jsonl|gtb]             re-encode a trace "
       "(default: the other format)\n"
       "  gen      <out> [--algorithm A] [--pms N] [--ratio R] [--warmup N]\n"
-      "                 [--rounds N] [--seed S] [--event]\n"
-      "                 [--quiesce] [--net] [--loss PCT] [--binary]\n"
+      "                 [--rounds N] [--seed S] [--quiesce]\n"
+      "                 [--net] [--loss PCT] [--binary]\n"
       "                 [--sample-shuffle PCT] [--sample-net PCT]\n"
       "                 [--flight-dump PATH]\n"
       "                                                   run an experiment "
@@ -514,7 +514,6 @@ int cmd_gen(const Args& args) {
       static_cast<sim::Round>(flag_int(args, "--warmup", 200));
   config.rounds = static_cast<sim::Round>(flag_int(args, "--rounds", 150));
   config.seed = static_cast<std::uint64_t>(flag_int(args, "--seed", 42));
-  config.event_engine = has_flag(args, "--event");
   if (has_flag(args, "--quiesce")) {
     // Quiescence defaults tuned for short gen runs: wake on any visible
     // demand move, park after a short calm streak.

@@ -46,10 +46,6 @@ constexpr RuleInfo kRules[] = {
     {"float-narrowing", "safety",
      "no float in Q-table kernels (src/qlearn, src/core/qtable_pair) — "
      "the learning state is double end to end"},
-    {"table-sync", "safety",
-     "every enumerator of the enums the trace carries as codes "
-     "(sim::WakeReason, net::Channel, net::DropReason) must have its name "
-     "in the trace schema's name tables"},
     {"hot-alloc", "perf",
      "no per-round heap allocation in round-loop scopes of src/sim and "
      "src/core: new/make_unique/make_shared, or push_back/emplace_back on "
@@ -72,7 +68,7 @@ bool starts_with(std::string_view s, std::string_view prefix) {
 }
 
 /// Protocol code: everything that runs inside engine interactions and so
-/// falls under the serial-vs-parallel bit-identity contract.
+/// falls under the bit-identity contract.
 bool in_protocol_code(std::string_view rel) {
   return starts_with(rel, "src/sim/") || starts_with(rel, "src/overlay/") ||
          starts_with(rel, "src/core/") || starts_with(rel, "src/baselines/");
@@ -652,7 +648,7 @@ std::uint64_t fnv1a64(std::string_view s) {
 
 /// Cache format/semantics version; bump when rules or the summary shape
 /// change so stale caches fall back to a cold scan.
-constexpr int kCacheVersion = 1;
+constexpr int kCacheVersion = 2;
 
 std::uint64_t cache_fingerprint() {
   std::string all = "glap-lint-cache-v" + std::to_string(kCacheVersion);
@@ -687,17 +683,11 @@ void write_cache_entry(std::ostream& out, const FileEntry& e) {
     out << "i " << inc.line << ' ' << inc.path << '\n';
   write_names(out, 'P', m.provided);
   write_names(out, 'R', m.referenced);
-  write_names(out, 'N', m.name_strings);
   for (const ClassDecl& c : m.classes) {
     out << "C " << c.line << ' ' << c.name << '\n';
     write_names(out, 'B', c.bases);
     write_names(out, 'M', c.members);
     write_names(out, 'U', c.mutating_methods);
-  }
-  for (const EnumDecl& en : m.enums) {
-    out << "E " << en.line << ' ' << en.name;
-    for (const std::string& v : en.enumerators) out << ' ' << v;
-    out << '\n';
   }
   for (const WaveEvent& w : m.wave_events)
     out << "W " << static_cast<int>(w.kind) << ' ' << w.line << ' '
@@ -781,8 +771,6 @@ std::map<std::string, FileEntry> load_cache(const std::string& path) {
       read_names(is, &cur.summary.provided);
     } else if (tag == "R") {
       read_names(is, &cur.summary.referenced);
-    } else if (tag == "N") {
-      read_names(is, &cur.summary.name_strings);
     } else if (tag == "C") {
       ClassDecl c;
       if (!(is >> c.line >> c.name)) return {};
@@ -793,11 +781,6 @@ std::map<std::string, FileEntry> load_cache(const std::string& path) {
       read_names(is, tag == "B" ? &c.bases
                                 : tag == "M" ? &c.members
                                              : &c.mutating_methods);
-    } else if (tag == "E") {
-      EnumDecl e;
-      if (!(is >> e.line >> e.name)) return {};
-      read_names(is, &e.enumerators);
-      cur.summary.enums.push_back(std::move(e));
     } else if (tag == "W") {
       WaveEvent w;
       int kind = 0;
@@ -916,7 +899,7 @@ bool is_known_rule(std::string_view name) {
 
 bool is_project_rule(std::string_view name) {
   return name == "layering" || name == "wave-safety" ||
-         name == "table-sync" || name == "include-hygiene";
+         name == "include-hygiene";
 }
 
 const std::vector<std::string>& trace_event_kinds() {

@@ -32,25 +32,6 @@ bool all_caps_macro(const std::string& s) {
   return letter;
 }
 
-/// kCamelCase enumerator -> snake_case table name: kFooBar -> foo_bar.
-std::string enum_snake_name(std::string_view enumerator) {
-  std::string_view s = enumerator;
-  if (s.size() > 1 && s[0] == 'k' &&
-      std::isupper(static_cast<unsigned char>(s[1])))
-    s.remove_prefix(1);
-  std::string out;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const char c = s[i];
-    if (std::isupper(static_cast<unsigned char>(c))) {
-      if (i > 0) out += '_';
-      out += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 // ---- token-stream helpers ----------------------------------------------
 
 struct Cursor {
@@ -287,7 +268,7 @@ FileSummary summarize_source(std::string_view rel_path,
 
   const std::vector<Token> toks = tokenize(content);
   const Cursor c{toks};
-  std::set<std::string> referenced, name_strings;
+  std::set<std::string> referenced;
 
   // Open class bodies, innermost last: member/method declarations live at
   // exactly `depth` braces inside their class.
@@ -302,15 +283,6 @@ FileSummary summarize_source(std::string_view rel_path,
 
   for (std::size_t i = 0; i < toks.size(); ++i) {
     const Token& tok = toks[i];
-    if (tok.kind == Token::Kind::kString) {
-      bool snake = !tok.text.empty() && tok.text.size() <= 64;
-      for (char ch : tok.text)
-        if (!(std::islower(static_cast<unsigned char>(ch)) ||
-              std::isdigit(static_cast<unsigned char>(ch)) || ch == '_'))
-          snake = false;
-      if (snake) name_strings.insert(tok.text);
-      continue;
-    }
     if (tok.kind == Token::Kind::kPunct) {
       if (tok.text == "{") ++depth;
       else if (tok.text == "}") {
@@ -332,10 +304,7 @@ FileSummary summarize_source(std::string_view rel_path,
       std::size_t j = i + 1;
       if (c.is_ident(j, "class") || c.is_ident(j, "struct")) ++j;
       if (!c.is_any_ident(j)) continue;  // anonymous
-      EnumDecl e;
-      e.name = toks[j].text;
-      e.line = toks[j].line;
-      provided.insert(e.name);
+      provided.insert(toks[j].text);
       ++j;
       while (j < toks.size() && !c.is_punct(j, "{") && !c.is_punct(j, ";"))
         ++j;
@@ -347,12 +316,9 @@ FileSummary summarize_source(std::string_view rel_path,
         else if (c.is_punct(k, ")") || c.is_punct(k, "}")) --pd;
         else if (pd == 0 && c.is_any_ident(k) &&
                  (c.is_punct(k + 1, ",") || c.is_punct(k + 1, "=") ||
-                  k + 1 == close)) {
-          e.enumerators.push_back(toks[k].text);
+                  k + 1 == close))
           provided.insert(toks[k].text);
-        }
       }
-      out.enums.push_back(std::move(e));
       continue;
     }
 
@@ -499,7 +465,6 @@ FileSummary summarize_source(std::string_view rel_path,
 
   out.provided.assign(provided.begin(), provided.end());
   out.referenced.assign(referenced.begin(), referenced.end());
-  out.name_strings.assign(name_strings.begin(), name_strings.end());
   return out;
 }
 
@@ -533,27 +498,6 @@ LayersSpec parse_layers(std::string_view text) {
       spec.edge_line.emplace(std::make_pair(module, dep), ln);
   }
   return spec;
-}
-
-/// Registered enums whose values travel as trace codes: the derived
-/// snake_case name of every enumerator must appear as a standalone string
-/// literal in each listed name-table file before lint passes.
-struct EnumTableSpec {
-  const char* decl_file;
-  const char* enum_name;
-  std::vector<const char*> table_files;
-  std::vector<const char*> skip;  ///< enumerators exempt (e.g. sentinels)
-};
-
-const std::vector<EnumTableSpec>& enum_table_specs() {
-  static const std::vector<EnumTableSpec> kSpecs = {
-      {"src/sim/node.hpp", "WakeReason", {"src/common/trace_schema.hpp"}, {}},
-      {"src/net/network_model.hpp", "Channel",
-       {"src/common/trace_schema.hpp"}, {}},
-      {"src/net/network_model.hpp", "DropReason",
-       {"src/common/trace_schema.hpp"}, {"kNone"}},
-  };
-  return kSpecs;
 }
 
 bool scratchy(const std::string& name) {
@@ -771,52 +715,6 @@ ProjectModel analyze_project(const std::vector<FileSummary>& files,
           break;
         }
       }
-    }
-  }
-
-  // ---- table-sync -------------------------------------------------------
-  for (const EnumTableSpec& spec : enum_table_specs()) {
-    const auto decl_it = by_path.find(spec.decl_file);
-    if (decl_it == by_path.end()) continue;  // synthetic tree: not pinned
-    const EnumDecl* decl = nullptr;
-    for (const EnumDecl& e : decl_it->second->enums)
-      if (e.name == spec.enum_name) decl = &e;
-    if (!decl) {
-      pm.findings.push_back(
-          {spec.decl_file, 1, "table-sync",
-           std::string("registered enum ") + spec.enum_name +
-               " not found in this file — update the table-sync registry "
-               "in tools/lint/model.cpp"});
-      continue;
-    }
-    for (const std::string& enumerator : decl->enumerators) {
-      bool skipped = false;
-      for (const char* s : spec.skip)
-        if (enumerator == s) skipped = true;
-      if (skipped) continue;
-      const std::string snake = enum_snake_name(enumerator);
-      std::vector<std::string> missing;
-      for (const char* table : spec.table_files) {
-        const auto it = by_path.find(table);
-        if (it == by_path.end()) {
-          missing.push_back(std::string(table) + " (not in scan)");
-          continue;
-        }
-        const FileSummary& t = *it->second;
-        if (!std::binary_search(t.name_strings.begin(), t.name_strings.end(),
-                                snake))
-          missing.push_back(table);
-      }
-      if (missing.empty()) continue;
-      std::string where = missing[0];
-      for (std::size_t i = 1; i < missing.size(); ++i)
-        where += ", " + missing[i];
-      pm.findings.push_back(
-          {spec.decl_file, decl->line, "table-sync",
-           std::string(spec.enum_name) + "::" + enumerator + " (\"" + snake +
-               "\") has no table entry in " + where +
-               " — a new enumerator must land in the trace schema's name "
-               "table before it can ship"});
     }
   }
 

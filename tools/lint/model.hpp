@@ -1,7 +1,7 @@
 // Cross-TU project model for glap-lint. The per-file rules in lint.cpp
 // see one token stream at a time; the properties that actually carry the
-// determinism contract — module layering, can_quiesce purity, and the pinned enum↔name/byte tables shared by GTB, the trace
-// checker and the wake scheduler — span translation units. This layer
+// determinism contract — module layering and can_quiesce purity — span
+// translation units. This layer
 // summarizes each file once (`summarize_source`, pure and cacheable) and
 // then runs the project-scoped rules over the joined summaries
 // (`analyze_project`):
@@ -14,9 +14,6 @@
 //                    convention, call a
 //                    mutating method of their own class, or draw from the
 //                    member RNG (src/sim/protocol.hpp states the contract)
-//   table-sync       every enumerator of a registered enum the trace
-//                    carries as a code must have its name in the trace
-//                    schema's name tables (common/trace_schema.hpp)
 //   include-hygiene  quoted project includes must provide at least one
 //                    name the includer references (transitively), and
 //                    project headers must carry #pragma once
@@ -48,13 +45,6 @@ struct ClassDecl {
   std::vector<std::string> mutating_methods;  ///< non-const method names
 };
 
-/// An enum (scoped or not) with its enumerators, for table-sync.
-struct EnumDecl {
-  std::string name;
-  std::size_t line = 0;
-  std::vector<std::string> enumerators;
-};
-
 /// A candidate purity violation inside a can_quiesce body.
 /// Extraction is per-file and over-approximate; resolution against the
 /// class registry (members, base chains, const-ness) happens in
@@ -82,11 +72,9 @@ struct FileSummary {
   bool is_header = false;
   bool has_pragma_once = false;
   std::vector<IncludeRef> includes;
-  std::vector<std::string> provided;      ///< names this file defines (sorted)
-  std::vector<std::string> referenced;    ///< identifiers used (sorted)
-  std::vector<std::string> name_strings;  ///< snake_case string literals
+  std::vector<std::string> provided;    ///< names this file defines (sorted)
+  std::vector<std::string> referenced;  ///< identifiers used (sorted)
   std::vector<ClassDecl> classes;
-  std::vector<EnumDecl> enums;
   std::vector<WaveEvent> wave_events;
 };
 
@@ -96,19 +84,17 @@ FileSummary summarize_source(std::string_view rel_path,
                              std::string_view content);
 
 /// Output of the project pass: the module graph plus every finding from
-/// the four project rules (unsuppressed — the caller applies allows).
+/// the three project rules (unsuppressed — the caller applies allows).
 struct ProjectModel {
   std::vector<LayerEdge> edges;                     ///< sorted (from, to)
   std::map<std::string, std::size_t> module_files;  ///< src module -> files
   std::vector<Finding> findings;
 };
 
-/// Runs layering / wave-safety / table-sync / include-hygiene over the
-/// joined summaries. `layers_text` is the contents of layers.txt
-/// ("module -> dep dep ..." lines, '#' comments); when empty the layering
-/// rule is skipped (synthetic trees without a DAG stay lintable). Enum
-/// table specs whose declaring file is absent from the scan are skipped
-/// for the same reason.
+/// Runs layering / wave-safety / include-hygiene over the joined
+/// summaries. `layers_text` is the contents of layers.txt ("module -> dep
+/// dep ..." lines, '#' comments); when empty the layering rule is skipped
+/// (synthetic trees without a DAG stay lintable).
 ProjectModel analyze_project(const std::vector<FileSummary>& files,
                              std::string_view layers_text);
 
